@@ -24,7 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..dsl.ast import ArrayAccess, BinOp, Call, Expr, Name, Num, UnaryOp
+from ..dsl.ast import (
+    ArrayAccess,
+    BinOp,
+    Call,
+    Expr,
+    Name,
+    Num,
+    UnaryOp,
+    array_accesses,
+    scalar_names,
+)
 from ..ir.analysis import read_halos
 from ..ir.decompose import split_accumulation
 from ..ir.homogenize import expr_homogenization
@@ -211,6 +221,12 @@ class CudaEmitter:
         self.geometry = launch_geometry(ir, plan)
         self.stages = build_stages(ir, plan)
         self.buffers = buffer_requirements(ir, plan)
+        self.used_scalars = {
+            name
+            for stage in self.stages
+            for stmt in stage.instance.statements
+            for name in scalar_names(stmt.rhs)
+        }
         self.lines: List[str] = []
         self.indent = 0
 
@@ -282,7 +298,7 @@ class CudaEmitter:
                 params.append(f"{qualifier}{ctype} {array}[]{dims}" if dims
                               else f"{qualifier}{ctype} *{array}")
         for name, dtype in self.ir.scalars:
-            if self._scalar_used(name):
+            if name in self.used_scalars:
                 params.append(f"{DTYPE_CUDA[dtype]} {name}")
         return params
 
@@ -291,15 +307,6 @@ class CudaEmitter:
         for stage in self.stages:
             written.update(stage.instance.arrays_written())
         return written
-
-    def _scalar_used(self, name: str) -> bool:
-        from ..dsl.ast import scalar_names
-
-        for stage in self.stages:
-            for stmt in stage.instance.statements:
-                if name in set(scalar_names(stmt.rhs)):
-                    return True
-        return False
 
     def _emit_index_setup(self) -> None:
         ir, plan = self.ir, self.plan
@@ -398,8 +405,6 @@ class CudaEmitter:
         iterator = self.ir.iterators[self.plan.stream_axis]
         for stage in self.stages:
             for stmt in stage.instance.statements:
-                from ..dsl.ast import array_accesses
-
                 for access in array_accesses(stmt.rhs):
                     if access.name != array:
                         continue
@@ -812,7 +817,7 @@ class CudaEmitter:
                 seen.append(array)
                 args.append(f"d_{array}")
         for name, _dtype in ir.scalars:
-            if self._scalar_used(name):
+            if name in self.used_scalars:
                 args.append(name)
         self.emit(f"{symbol}<<<grid, block>>>({', '.join(args)});")
         for name in ir.copyout:

@@ -214,31 +214,56 @@ class Call:
         return f"{self.func}({', '.join(str(a) for a in self.args)})"
 
 
+# The traversals below run many times over the same frozen right-hand
+# sides (validation, IR analysis, fission, the advisor, the emitter).
+# Each root's pre-order is built once, with an explicit stack so a long
+# expression cannot exhaust the interpreter's recursion limit, and pinned
+# on the root's instance ``__dict__``.  Fields alone drive equality, hash
+# and repr, so the pinned tuple is invisible to them and is freed with
+# the tree.
+
+
+def _build_preorder(root: Expr) -> Tuple[Expr, ...]:
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack.extend(reversed(node.args))
+    return tuple(order)
+
+
+def _preorder(expr: Expr) -> Tuple[Expr, ...]:
+    cached = expr.__dict__.get("_preorder")
+    if cached is None:
+        cached = _build_preorder(expr)
+        object.__setattr__(expr, "_preorder", cached)
+    return cached
+
+
 def walk(expr: Expr) -> Iterator[Expr]:
-    """Yield ``expr`` and all sub-expressions in pre-order."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk(arg)
+    """Iterate over ``expr`` and all sub-expressions in pre-order."""
+    return iter(_preorder(expr))
 
 
 def array_accesses(expr: Expr) -> Iterator[ArrayAccess]:
-    """Yield every ArrayAccess in ``expr`` (with repetition)."""
-    for node in walk(expr):
-        if isinstance(node, ArrayAccess):
-            yield node
+    """Iterate over every ArrayAccess in ``expr`` (with repetition)."""
+    return iter(
+        [node for node in _preorder(expr) if isinstance(node, ArrayAccess)]
+    )
 
 
 def scalar_names(expr: Expr) -> Iterator[str]:
-    """Yield every scalar Name referenced in ``expr`` (with repetition)."""
-    for node in walk(expr):
-        if isinstance(node, Name):
-            yield node.id
+    """Iterate over every scalar Name referenced in ``expr`` (with repetition)."""
+    return iter(
+        [node.id for node in _preorder(expr) if isinstance(node, Name)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -49,20 +49,21 @@ class TokenStream:
         return self._tokens[self._pos]
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
-        tok = self.current
+        tok = self._tokens[self._pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def at_punct(self, value: str) -> bool:
-        return self.at(lexer.PUNCT, value)
+        tok = self._tokens[self._pos]
+        return tok.kind == lexer.PUNCT and tok.value == value
 
     def advance(self) -> Token:
-        tok = self.current
+        tok = self._tokens[self._pos]
         if tok.kind != lexer.EOF:
             self._pos += 1
         return tok
 
     def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self.current
+        tok = self._tokens[self._pos]
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise ParseError(

@@ -17,8 +17,7 @@ whose value is the raw directive text; the directive sub-parsers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from .errors import LexError
 
@@ -36,8 +35,7 @@ _TWO_CHAR_OPS = ("+=", "-=", "*=", "/=", "==", "<=", ">=", "!=")
 _SINGLE_CHARS = set("()[]{},;=+-*/<>!?:")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source location."""
 
     kind: str

@@ -20,6 +20,7 @@ from ..dsl.ast import (
     Num,
     UnaryOp,
     array_accesses,
+    scalar_names,
 )
 from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
 from ..obs import span as _span
@@ -426,8 +427,6 @@ def unique_bytes_per_point(ir: ProgramIR, instance: StencilInstance) -> float:
 
 def scalar_slices(instance: StencilInstance) -> Dict[int, Tuple[int, ...]]:
     """Per grid statement: the local-statement indices it depends on."""
-    from ..dsl.ast import scalar_names
-
     contrib: Dict[str, set] = {}
     result: Dict[int, Tuple[int, ...]] = {}
     for index, stmt in enumerate(instance.statements):
@@ -450,9 +449,7 @@ def _segment_halos(
     halos: Dict[str, List[List[int]]] = {}
     for index in indices:
         stmt = instance.statements[index]
-        from ..dsl.ast import array_accesses as _accesses
-
-        for access in _accesses(stmt.rhs):
+        for access in array_accesses(stmt.rhs):
             entry = halos.setdefault(
                 access.name, [[0, 0] for _ in range(ir.ndim)]
             )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..dsl.ast import ArrayAccess, array_accesses
+from ..dsl.ast import ArrayAccess, array_accesses, scalar_names
 from ..ir.analysis import access_patterns, stencil_order
 from ..ir.dag import statement_dag, statements_for_output
 from ..ir.stencil import ProgramIR, Statement, StencilInstance
@@ -222,8 +222,6 @@ def export_dsl(ir: ProgramIR) -> str:
 
 
 def _scalars_used(ir: ProgramIR, instance: StencilInstance) -> List[str]:
-    from ..dsl.ast import scalar_names
-
     locals_ = {s.target for s in instance.statements if s.is_local}
     declared = set(ir.scalar_map)
     used: List[str] = []
