@@ -1,47 +1,35 @@
-"""Live-observatory overhead: snapshot flush, merge, and exposition cost.
+"""Live-metrics overhead: exposition cost and the disabled path.
 
-The live path (docs/observability.md, "Live metrics & `repro top`")
-rides inside every distributed worker at ``flush_s`` cadence, so its
-per-flush cost bounds the observability tax on a run.  This benchmark
-prices the three moving parts against a realistically-sized registry —
-build+atomic-write of one worker snapshot, the coordinator's N-way
-merge, and one Prometheus text render — and demonstrates the
-disabled-path contract: with metrics off, a full tuning run pays
-nothing because the flusher is never even constructed.  Results land
-in ``BENCH_obs_live.json``.
+The ``--metrics-port`` endpoint (docs/observability.md) renders the
+process registry as Prometheus text on every scrape, so the render cost
+against a realistically-sized registry bounds the observability tax of
+a scraped run.  The second arm demonstrates the disabled-path contract:
+with metrics off, a full tuning run pays only one flag check per
+instrumentation site.  Results land in ``BENCH_obs_live.json``.
 """
 
-import json
 import os
 import time
 
 from repro.obs import MetricsRegistry, configure_metrics, metrics_enabled
-from repro.obs.live import (
-    build_snapshot,
-    load_snapshots,
-    merge_snapshots,
-    write_snapshot,
-)
 from repro.obs.prom import prometheus_text
 from repro.pipeline import optimize
 
 from _cache import fmt, ir_of, print_table
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs_live.json")
-WORKERS = 8
-FLUSHES = 200
+RENDERS = 200
 
 _results = {}
 
 
-def _realistic_registry(worker=0):
-    """A registry shaped like a worker's mid-run state."""
+def _realistic_registry():
+    """A registry shaped like a mid-run process's state."""
     registry = MetricsRegistry()
-    registry.counter("eval.requests").add(5000 + worker)
+    registry.counter("eval.requests").add(5000)
     registry.counter("eval.hits").add(1200)
     registry.counter("eval.misses").add(3800)
     registry.counter("simulate.calls").add(2600)
-    registry.counter("distrib.shards_claimed").add(40)
     registry.gauge("eval.inflight").set(8)
     wall = registry.histogram("eval.wall_s")
     for i in range(500):
@@ -51,65 +39,31 @@ def _realistic_registry(worker=0):
     return registry
 
 
-def test_flush_and_merge_cost(tmp_path):
-    (tmp_path / "obs").mkdir()
+def test_render_cost():
     registry = _realistic_registry()
-
     start = time.perf_counter()
-    for seq in range(FLUSHES):
-        snap = build_snapshot(0, registry=registry, seq=seq)
-        write_snapshot(str(tmp_path / "obs" / "worker-00.metrics.json"), snap)
-    flush_ms = (time.perf_counter() - start) / FLUSHES * 1e3
-
-    for worker in range(WORKERS):
-        snap = build_snapshot(worker, registry=_realistic_registry(worker))
-        write_snapshot(
-            str(tmp_path / "obs" / f"worker-{worker:02d}.metrics.json"), snap
-        )
-    start = time.perf_counter()
-    merged = merge_snapshots(load_snapshots(str(tmp_path / "obs")))
-    merge_ms = (time.perf_counter() - start) * 1e3
-    snapshot = merged.snapshot()
-    assert snapshot["eval.requests"]["value"] == sum(
-        5000 + w for w in range(WORKERS)
-    )
-
-    start = time.perf_counter()
-    for _ in range(FLUSHES):
-        text = prometheus_text(merged)
-    render_ms = (time.perf_counter() - start) / FLUSHES * 1e3
+    for _ in range(RENDERS):
+        text = prometheus_text(registry)
+    render_ms = (time.perf_counter() - start) / RENDERS * 1e3
     assert "repro_eval_requests_total" in text
 
-    # Generous ceilings: a flush at the default 0.5 s cadence must not
-    # itself cost a meaningful slice of the interval, even on a noisy
-    # CI machine.
-    assert flush_ms < 50.0, f"snapshot flush too slow: {flush_ms:.2f} ms"
-    assert merge_ms < 250.0, f"{WORKERS}-way merge too slow: {merge_ms:.2f} ms"
+    # Generous ceiling: a scrape must not itself cost a meaningful slice
+    # of a run, even on a noisy CI machine.
     assert render_ms < 50.0, f"exposition render too slow: {render_ms:.2f} ms"
 
-    _results["per_op_ms"] = {
-        "snapshot_flush": round(flush_ms, 4),
-        "merge_8_workers": round(merge_ms, 4),
-        "prometheus_render": round(render_ms, 4),
-    }
+    _results["per_op_ms"] = {"prometheus_render": round(render_ms, 4)}
     print_table(
-        "live observatory per-operation cost",
+        "live metrics per-operation cost",
         ["operation", "ms"],
-        [
-            ["snapshot build + atomic write", fmt(flush_ms)],
-            [f"merge ({WORKERS} workers)", fmt(merge_ms)],
-            ["prometheus text render", fmt(render_ms)],
-        ],
+        [["prometheus text render", fmt(render_ms)]],
     )
 
 
 def test_disabled_path_is_free():
-    # With metrics off no flusher thread exists, no snapshot is ever
-    # built, and the only residue at each instrumentation site is the
-    # single flag check — so a full tuning run with the live machinery
-    # importable costs the same as one without.  Timed to report, not
-    # to gate (CI wall clocks are noisy); the structural claim is the
-    # assert on metrics_enabled().
+    # With metrics off no endpoint is started and the only residue at
+    # each instrumentation site is the single flag check.  Timed to
+    # report, not to gate (CI wall clocks are noisy); the structural
+    # claim is the assert on metrics_enabled().
     configure_metrics(False, reset=True)
     assert not metrics_enabled()
     ir = ir_of("7pt-smoother")
@@ -121,9 +75,9 @@ def test_disabled_path_is_free():
 
     _results["disabled_run_wall_s"] = round(off_wall, 4)
     print_table(
-        "disabled-path run (metrics off, live machinery loaded)",
+        "disabled-path run (metrics off)",
         ["quantity", "value"],
-        [["optimize() wall (s)", fmt(off_wall)], ["flusher threads", 0]],
+        [["optimize() wall (s)", fmt(off_wall)]],
     )
 
 

@@ -11,8 +11,8 @@ the divergence numerically).
 The certifier is **pure in the plan**: every field it reads
 (``kernel_names``, ``time_tile``, ``streaming``, ``stream_axis``,
 ``concurrent_chunks``, ``retime``) is part of the structural family key,
-so the evaluation engine probes it once per family and distributed
-shards, memo-cache replays and the CLI all derive byte-identical
+so the evaluation engine probes it once per family, and memo-cache
+replays, separate processes and the CLI all derive byte-identical
 diagnostics for the same plan.
 
 Conservatism contract: the certifier may *refute* a plan the block-tiled

@@ -10,15 +10,15 @@ whole picture of a run.
 Collection is off by default and every hot-path instrumentation site
 guards with :func:`metrics_enabled`, so the disabled cost is a global
 flag check.  All metric types are thread-safe (one lock per metric;
-increments from ``evaluate_batch`` worker threads are exact, not
+increments from an ``--eval-timeout`` watchdog thread are exact, not
 last-writer-wins).
 
 Snapshots (``as_dict``/``MetricsRegistry.snapshot``) are plain JSON
 and *mergeable*: :meth:`MetricsRegistry.merge_snapshot` folds another
-process's snapshot into this registry — counters summed, gauges
+registry's snapshot into this one — counters summed, gauges
 last-writer-wins by timestamp, histograms bucket-merged — which is how
-the distributed coordinator assembles one run-level registry from the
-per-worker snapshot files (:mod:`repro.obs.live`).
+the ``--metrics-port`` endpoint builds each scrape from the live
+registry.
 
 API::
 
@@ -346,14 +346,13 @@ class MetricsRegistry:
         Merge semantics per type: **counters sum**, **gauges take the
         newest write** (by recorded timestamp), **histograms merge
         bucket-wise** (requiring identical bucket ladders).  The fold is
-        commutative and associative, so the distributed coordinator can
-        absorb worker snapshots in any order and any number of times —
-        as long as each snapshot is folded once.
+        commutative and associative, so snapshots may be folded in any
+        order — as long as each is folded once.
 
         ``exclude_prefixes`` skips metric families the caller bills
-        through a deduplicating channel instead (e.g. ``eval.`` in the
-        distributed merge, where raw per-worker counts would re-bill
-        stolen shards).
+        through another channel (e.g. ``eval.`` in the ``--metrics-port``
+        collector, which publishes the engine's live EvalStats
+        instead).
         """
         getters = {
             "counter": self.counter,

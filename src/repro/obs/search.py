@@ -154,9 +154,9 @@ class SearchLog:
     """Collects candidate-level search events; optionally streams JSONL.
 
     One log serves one search run (typically one ``optimize`` or
-    ``deep-tune`` invocation).  Thread-safe: the evaluation engine emits
-    from batch worker threads; context tags are tracked per thread and
-    inherited by workers via :meth:`capture`/:meth:`use`.
+    ``deep-tune`` invocation).  Thread-safe: with ``--eval-timeout`` the
+    evaluation engine emits from its watchdog thread; context tags are
+    tracked per thread and handed across via :meth:`capture`/:meth:`use`.
 
     With ``path=None`` the log is in-memory only (``--explain`` without
     ``--search-log`` uses this); with a path, :meth:`flush` serializes
@@ -211,13 +211,13 @@ class SearchLog:
             stack.pop()
 
     def capture(self) -> Dict[str, Any]:
-        """The calling thread's merged tags (for handoff to workers)."""
+        """The calling thread's merged tags (for handoff to a watchdog)."""
         stack = self._stack()
         return dict(stack[-1]) if stack else {}
 
     @contextmanager
     def use(self, tags: Dict[str, Any]):
-        """Install captured tags on the current (worker) thread."""
+        """Install captured tags on the current (watchdog) thread."""
         stack = self._stack()
         stack.append(dict(tags))
         try:

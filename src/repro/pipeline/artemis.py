@@ -19,7 +19,7 @@ Steps, mirroring the paper's summary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..codegen.generator import lower, schedule_tflops
 from ..codegen.plan import GMEM, KernelPlan, ProgramPlan
@@ -69,16 +69,13 @@ def optimize(
     explore_fission: bool = True,
     top_k: int = 4,
     evaluator: Optional[PlanEvaluator] = None,
-    workers: Optional[int] = None,
     journal: Optional[TuningJournal] = None,
-    make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ) -> OptimizationOutcome:
     """Run the end-to-end ARTEMIS optimization flow.
 
     One :class:`PlanEvaluator` is shared by every tuning phase of the
     run (per-kernel tuning, fused/fission/global alternatives, deep
     tuning), so any plan the flow revisits is a memo-cache hit.
-    ``workers`` fans candidate batches out over that many threads.
     ``journal`` checkpoints every evaluated candidate as it completes;
     the journal's records are content-addressed by IR fingerprint, so
     one journal file safely serves every phase (including fission
@@ -88,11 +85,10 @@ def optimize(
     with _span("optimize"):
         with _span("lower"):
             ir = lower(source_or_ir)
-        engine = evaluator or PlanEvaluator(device=device, workers=workers)
+        engine = evaluator or PlanEvaluator(device=device)
         stats_before = engine.stats.snapshot()
         outcome = _optimize(
-            ir, engine, iterations, explore_fission, top_k, journal,
-            make_tuner=make_tuner,
+            ir, engine, iterations, explore_fission, top_k, journal
         )
     from dataclasses import replace
 
@@ -109,12 +105,11 @@ def _optimize(
     explore_fission: bool,
     top_k: int,
     journal: Optional[TuningJournal] = None,
-    make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ) -> OptimizationOutcome:
     device = engine.device
     if ir.is_iterative and len(ir.kernels) == 1:
         return _optimize_iterative(
-            ir, device, iterations, top_k, engine, journal, make_tuner
+            ir, device, iterations, top_k, engine, journal
         )
     if ir.is_iterative:
         # Multi-statement iterative DAGs (e.g. denoise): fuse the DAG
@@ -124,13 +119,12 @@ def _optimize(
 
         fused = maxfuse(ir)
         spatial = _optimize_spatial(
-            ir, device, explore_fission, top_k, engine, journal, make_tuner
+            ir, device, explore_fission, top_k, engine, journal
         )
         if len(fused.kernels) == 1:
             try:
                 fused_outcome = _optimize_iterative(
-                    fused, device, iterations, top_k, engine, journal,
-                    make_tuner,
+                    fused, device, iterations, top_k, engine, journal
                 )
             except (PlanInfeasible, ValueError):
                 return spatial
@@ -138,7 +132,7 @@ def _optimize(
                 return fused_outcome
         return spatial
     return _optimize_spatial(
-        ir, device, explore_fission, top_k, engine, journal, make_tuner
+        ir, device, explore_fission, top_k, engine, journal
     )
 
 
@@ -154,12 +148,10 @@ def _optimize_iterative(
     top_k: int,
     evaluator: Optional[PlanEvaluator] = None,
     journal: Optional[TuningJournal] = None,
-    make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ) -> OptimizationOutcome:
     steps = iterations if iterations is not None else ir.time_iterations
     deep = deep_tune(
-        ir, device=device, top_k=top_k, evaluator=evaluator, journal=journal,
-        make_tuner=make_tuner,
+        ir, device=device, top_k=top_k, evaluator=evaluator, journal=journal
     )
     schedule = fusion_schedule(deep, steps)
     program_plan = schedule_to_program_plan(deep, schedule)
@@ -192,13 +184,11 @@ def _optimize_spatial(
     top_k: int,
     evaluator: Optional[PlanEvaluator] = None,
     journal: Optional[TuningJournal] = None,
-    make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ) -> OptimizationOutcome:
     log = evaluator.search_log if evaluator is not None else None
     with _log_context(log, variant="tuned"):
         schedule, advice_list, evaluations = _tune_kernels(
-            ir, device, top_k, evaluator=evaluator, journal=journal,
-            make_tuner=make_tuner,
+            ir, device, top_k, evaluator=evaluator, journal=journal
         )
     best_tflops = schedule_tflops(ir, schedule, device)
     best = OptimizationOutcome(
@@ -226,7 +216,7 @@ def _optimize_spatial(
                 with _log_context(log, variant="dag-fused"):
                     f_schedule, f_advice, f_evals = _tune_kernels(
                         fused_ir, device, top_k, evaluator=evaluator,
-                        journal=journal, make_tuner=make_tuner,
+                        journal=journal,
                     )
                 f_tflops = schedule_tflops(fused_ir, f_schedule, device)
                 if f_tflops > best.tflops:
@@ -255,7 +245,7 @@ def _optimize_spatial(
                 with _log_context(log, variant=candidate.label):
                     cand_schedule, cand_advice, cand_evals = _tune_kernels(
                         candidate.ir, device, top_k, evaluator=evaluator,
-                        journal=journal, make_tuner=make_tuner,
+                        journal=journal,
                     )
             except PlanInfeasible:
                 continue
@@ -277,7 +267,7 @@ def _optimize_spatial(
         with _log_context(log, variant="global"):
             global_schedule, _, g_evals = _tune_kernels(
                 ir, device, top_k, force_gmem=True, evaluator=evaluator,
-                journal=journal, make_tuner=make_tuner,
+                journal=journal,
             )
         g_tflops = schedule_tflops(ir, global_schedule, device)
         if g_tflops > best.tflops:
@@ -313,7 +303,6 @@ def _tune_kernels(
     force_gmem: bool = False,
     evaluator: Optional[PlanEvaluator] = None,
     journal: Optional[TuningJournal] = None,
-    make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ):
     """Profile-advise-tune every kernel of a program."""
     plans: List[KernelPlan] = []
@@ -340,7 +329,7 @@ def _tune_kernels(
         if log is not None:
             log.advice(instance.name, kernel_advice)
         advice_list.append(kernel_advice)
-        tuner = (make_tuner or HierarchicalTuner)(
+        tuner = HierarchicalTuner(
             ir,
             device=device,
             use_unrolling=kernel_advice.use_unrolling,

@@ -18,7 +18,7 @@ Crash model and recovery:
   it cannot trust;
 * records are keyed by content (IR fingerprint + operation + plan
   fingerprint), never by sequence number, so resumed runs may evaluate
-  in a different order, with different worker counts, and still hit.
+  in a different order and still hit.
 
 Record kinds: ``header`` (version/device sanity), ``candidate`` (one
 priced plan: the escalated plan chosen plus its time/TFLOPS, or
@@ -39,7 +39,6 @@ from typing import Any, Dict, Optional
 from .errors import (
     CheckpointCorruptError,
     CheckpointDeviceMismatch,
-    CheckpointError,
     CheckpointLockedError,
 )
 
@@ -177,8 +176,7 @@ class TuningJournal:
             raise CheckpointLockedError(
                 f"checkpoint journal {self.path} is already open for "
                 f"writing by another process; give each run its own "
-                f"--checkpoint path (distributed workers journal to "
-                f"sibling files and merge)",
+                f"--checkpoint path",
                 path=self.path,
             ) from None
 
@@ -309,56 +307,6 @@ class TuningJournal:
         with self._lock:
             self._records[key] = record
         self._append(record)
-
-    def append_record(self, record: Dict[str, Any]) -> None:
-        """Journal a pre-built record verbatim (distributed workers).
-
-        The record must carry a ``kind`` and a string ``key``; extra
-        fields (worker id, shard id, per-candidate stats deltas) ride
-        along untouched so the merge can account for them.
-        """
-        kind = record.get("kind")
-        key = record.get("key")
-        if kind not in ("candidate", "failure", "degree") or not isinstance(
-            key, str
-        ):
-            raise CheckpointError(
-                f"cannot journal record kind={kind!r} key={key!r}",
-                path=self.path,
-            )
-        with self._lock:
-            if kind == "failure":
-                self._failures[key] = record
-            else:
-                self._records[key] = record
-        self._append(record)
-
-    def merge_record(self, record: Dict[str, Any]) -> bool:
-        """Fold one foreign record in; return False for duplicates.
-
-        The crash-safe merge invariant: the *first* record for a
-        content-addressed key wins, later arrivals (a stolen shard
-        re-evaluated by a second worker) are dropped so their
-        evaluation cost is never double-billed.  A failure record is a
-        duplicate if the key already has *any* record — a successful
-        re-evaluation after a steal supersedes the victim's failure.
-        """
-        kind = record.get("kind")
-        key = record.get("key")
-        if kind == "header" or not isinstance(key, str):
-            return False
-        with self._lock:
-            if key in self._records:
-                return False
-            if kind == "failure":
-                if key in self._failures:
-                    return False
-                self._failures[key] = record
-            else:
-                self._records[key] = record
-                self.replayable += 1
-        self._append(record)
-        return True
 
     # -- lookup -----------------------------------------------------------------
 

@@ -68,13 +68,12 @@ def run_bench(
     device: DeviceSpec = P100,
     top_k: int = 2,
     vectorize: Optional[bool] = None,
-    executor: str = "thread",
 ) -> Dict[str, Any]:
     """Run the suite and collect the search-cost profile per benchmark.
 
-    ``vectorize``/``executor`` configure the shared :class:`PlanEvaluator`
-    (defaults match production: family pricing on when numpy is
-    available, thread executor) — the before/after comparison artifact
+    ``vectorize`` configures the shared :class:`PlanEvaluator` (the
+    default matches production: family pricing on when numpy is
+    available) — the before/after comparison artifact
     runs the same suite with ``vectorize=False`` to measure the scalar
     path on the same machine.
     """
@@ -84,9 +83,7 @@ def run_bench(
     results: Dict[str, Any] = {}
     for name in benchmarks:
         ir = get_benchmark(name).ir()
-        engine = PlanEvaluator(
-            device=device, vectorize=vectorize, executor=executor
-        )
+        engine = PlanEvaluator(device=device, vectorize=vectorize)
         calls_before = simulate_call_count()
         start = time.perf_counter()
         outcome = optimize(ir, device=device, top_k=top_k, evaluator=engine)

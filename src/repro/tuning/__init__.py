@@ -10,7 +10,6 @@ from .deeptuning import (
     schedule_to_program_plan,
 )
 from .evaluator import (
-    EXECUTOR_MODES,
     EvalStats,
     FailureRecord,
     PlanEvaluator,
@@ -48,7 +47,6 @@ from .transfer import (
 __all__ = [
     "DeepTuningEntry",
     "DeepTuningResult",
-    "EXECUTOR_MODES",
     "EvalStats",
     "FailureRecord",
     "FissionCandidate",

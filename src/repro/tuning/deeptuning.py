@@ -99,7 +99,6 @@ def deep_tune(
     use_register_opts: bool = True,
     top_k: int = 4,
     evaluator: Optional[PlanEvaluator] = None,
-    workers: Optional[int] = None,
     journal: Optional[TuningJournal] = None,
     make_tuner: Optional[Callable[..., HierarchicalTuner]] = None,
 ) -> DeepTuningResult:
@@ -119,15 +118,15 @@ def deep_tune(
 
     ``make_tuner`` swaps the inner per-degree tuner class: it is called
     with the same keyword arguments ``HierarchicalTuner`` would receive
-    (``use_register_opts``, ``top_k``, ``evaluator``, ``workers``,
-    ``journal``).  Transfer tuning uses this to warm-start every degree
-    from another device's journal (``repro.tuning.transfer``).
+    (``use_register_opts``, ``top_k``, ``evaluator``, ``journal``).
+    Transfer tuning uses this to warm-start every degree from another
+    device's journal (``repro.tuning.transfer``).
     """
     if not ir.is_iterative:
         raise UsageError("deep tuning applies to iterative stencils")
     if len(ir.kernels) != 1:
         raise UsageError("deep tuning expects a single smoother kernel")
-    engine = evaluator or PlanEvaluator(device=device, workers=workers)
+    engine = evaluator or PlanEvaluator(device=device)
     stats_before = engine.stats.snapshot()
     irfp = ir_fingerprint(ir) if journal is not None else None
     instance = ir.kernels[0]
@@ -170,7 +169,6 @@ def deep_tune(
                         use_register_opts=use_register_opts,
                         top_k=top_k,
                         evaluator=engine,
-                        workers=workers,
                         journal=journal,
                     )
                     try:

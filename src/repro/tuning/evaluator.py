@@ -1,4 +1,4 @@
-"""Shared plan-evaluation engine: memoized, incremental, parallel.
+"""Shared plan-evaluation engine: memoized, incremental, vectorized.
 
 Every result in this repository flows through repeated invocations of
 the analytical simulator — hierarchical autotuning (§V), deep tuning's
@@ -28,10 +28,11 @@ size, so all search code routes measurements through one
   the scalar path; per-lane finalization replays the normal accounting,
   memoization and telemetry.  Per-phase activity is attributed through
   :meth:`PlanEvaluator.phase` (``docs/performance_model.md``).
-* **parallel batch evaluation** — :meth:`PlanEvaluator.evaluate_batch`
-  fans candidate evaluation out over a thread pool with deterministic,
-  input-ordered results; ``executor='process'`` instead pre-computes
-  the residual scalar simulations on a fork-based process pool.
+* **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs
+  every candidate in one serial loop, in input order, in the caller's
+  process.  There is no parallel mode: pricing one candidate costs tens
+  of microseconds, so worker start-up and the GIL cost more than they
+  could save (``docs/performance_model.md``).
 * **fault tolerance** — every batch job is guarded: an unexpected
   (non-infeasibility) exception in one candidate is captured per-job
   and resolved by the engine's ``on_error`` policy (``fail-fast`` |
@@ -55,10 +56,8 @@ they are extra trips into the model — but are tallied separately in
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -110,12 +109,6 @@ def _obs_count(name: str, value: int = 1) -> None:
 #: benchmarking and equivalence tests).
 ESCALATION_MODES = ("incremental", "ladder")
 
-#: Batch executors: ``thread`` (default) fans jobs over a thread pool;
-#: ``process`` pre-computes the residual scalar simulations on a
-#: fork-based process pool, then finalizes serially in the parent so
-#: that all accounting, memoization and telemetry stay in one place.
-EXECUTOR_MODES = ("thread", "process")
-
 #: Smallest structural group worth routing through the vectorized
 #: pricing backend — below this the per-family setup cost (structure
 #: capture, array assembly) beats the per-lane savings.
@@ -141,48 +134,6 @@ def _pricing_module():
 
 _UNRESOLVED = object()
 _PRICING = _UNRESOLVED
-
-#: Shared state for fork-based process-pool workers: the parent stashes
-#: ``token -> (ir, device, validate, levels)`` immediately before
-#: forking, the children inherit it through copy-on-write memory, and
-#: the parent drops it when the pool closes.  Nothing unpicklable ever
-#: crosses the pipe — workers are addressed by token and ship back
-#: ``(family_key, registers, SimulationResult)`` primitives.
-_POOL_STATE: Dict[int, tuple] = {}
-_POOL_TOKEN_COUNTER = itertools.count()
-
-
-def _pool_simulate_chunk(args):
-    """Process-pool worker: simulate a chunk of plans, ship primitives.
-
-    For spill-free batches (``levels`` set) the worker resolves each
-    plan's register rung exactly like ``_evaluate_spill_free`` before
-    simulating; for plain batches it simulates the plan as given.
-    Infeasible or failing candidates are simply skipped — the parent
-    re-derives their disposition on its own accounting path.
-    """
-    token, plans = args
-    ir, device, validate, levels = _POOL_STATE[token]
-    shipped = []
-    for plan in plans:
-        try:
-            if validate:
-                validate_plan(ir, plan)
-            candidate = plan
-            if levels is not None:
-                demand = plan_prefix(ir, plan).reg_demand
-                level = next((lv for lv in levels if demand <= lv), None)
-                if level is None:
-                    continue
-                candidate = plan.replace(max_registers=level)
-            result = simulate(ir, candidate, device)
-        except Exception:  # noqa: BLE001 — parent re-derives disposition
-            continue
-        shipped.append(
-            (plan_family_key(candidate), candidate.max_registers, result)
-        )
-    return shipped
-
 
 @dataclass(frozen=True)
 class Measurement:
@@ -215,10 +166,10 @@ class EvalStats:
 
     * ``wall_s`` — real elapsed time during which *at least one* thread
       was inside the engine (overlapping busy intervals are merged, so
-      a 4-worker batch reports the batch's true duration);
-    * ``cpu_s`` — per-thread time summed across workers (what the
-      pre-fix ``wall_s`` reported; under concurrency it exceeds
-      ``wall_s`` by up to the worker count).
+      a watchdog thread abandoned by ``--eval-timeout`` that is still
+      running does not double-bill);
+    * ``cpu_s`` — per-thread time summed over those threads (it exceeds
+      ``wall_s`` only while such threads overlap).
     """
 
     requests: int = 0  # candidate evaluations requested
@@ -398,16 +349,17 @@ class PlanEvaluator:
     but exactly one device.  Failures are memoized alongside successes,
     so repeatedly probing an infeasible configuration costs one lookup.
 
-    Thread-safe: batch evaluation may run requests concurrently; the
-    result cache is guarded and the underlying model is pure, so
-    duplicated in-flight work is harmless and deterministic.
+    Batches run serially on the caller's thread.  With ``timeout_s``
+    each evaluation runs on a watchdog thread, and one abandoned after
+    its deadline may still be running when the next starts; the result
+    cache is guarded and the underlying model is pure, so that overlap
+    is harmless and deterministic.
     """
 
     def __init__(
         self,
         device: DeviceSpec = P100,
         memoize: bool = True,
-        workers: Optional[int] = None,
         escalation: str = "incremental",
         validate: bool = True,
         prescreen: bool = True,
@@ -418,7 +370,6 @@ class PlanEvaluator:
         fault_injector: Optional[FaultInjector] = None,
         search_log: Optional[SearchLog] = None,
         vectorize: Optional[bool] = None,
-        executor: str = "thread",
     ):
         if escalation not in ESCALATION_MODES:
             raise UsageError(
@@ -432,20 +383,8 @@ class PlanEvaluator:
             )
         if timeout_s is not None and timeout_s <= 0:
             raise UsageError("timeout_s must be positive")
-        if executor not in EXECUTOR_MODES:
-            raise UsageError(
-                f"unknown executor {executor!r}; "
-                f"expected one of {EXECUTOR_MODES}"
-            )
-        if executor == "process" and fault_injector is not None:
-            raise UsageError(
-                "executor='process' cannot honour a FaultInjector: "
-                "pool workers run in separate processes and would not "
-                "observe the injected fault schedule"
-            )
         self.device = device
         self.memoize = memoize
-        self.workers = workers
         self.escalation = escalation
         #: run ``validate_plan`` before simulating (some baselines probe
         #: raw configurations the way a fixed code generator would,
@@ -478,15 +417,10 @@ class PlanEvaluator:
         if vectorize is None:
             vectorize = _pricing_module() is not None
         self.vectorize = bool(vectorize)
-        self.executor = executor
         #: per-phase activity, accumulated by :meth:`phase` — tuners
         #: wrap their stages so cache behaviour can be reported per
         #: phase instead of as one misleading whole-run ratio.
         self.phase_stats: Dict[str, EvalStats] = {}
-        #: process-pool precomputed simulation results, keyed like the
-        #: memo cache; consumed (popped) by ``_evaluate`` in place of a
-        #: scalar ``simulate`` call.
-        self._precomputed: Dict[tuple, SimulationResult] = {}
         self.stats = EvalStats()
         #: most recent persistent failures, for post-mortem reporting
         #: (bounded; counters in ``stats`` are exact).
@@ -557,9 +491,9 @@ class PlanEvaluator:
 
         Only a thread's *outermost* engine frame participates (nested
         calls — ``evaluate_spill_free`` invoking ``evaluate`` — must not
-        double-bill), and overlapping frames from concurrent workers
-        extend one shared busy interval instead of each adding their
-        own full delta.
+        double-bill), and overlapping frames from an abandoned watchdog
+        thread extend one shared busy interval instead of each adding
+        their own full delta.
         """
         depth = getattr(self._depth, "value", 0)
         self._depth.value = depth + 1
@@ -716,12 +650,7 @@ class PlanEvaluator:
             if produce_fn is not None:
                 result = produce_fn(plan)
             else:
-                result = None
-                if self._precomputed and not degraded:
-                    with self._lock:
-                        result = self._precomputed.pop(key, None)
-                if result is None:
-                    result = simulate(ir, plan, self.device)
+                result = simulate(ir, plan, self.device)
         except INFEASIBLE as exc:
             self.stats.infeasible += 1
             if self.memoize:
@@ -843,19 +772,15 @@ class PlanEvaluator:
         self,
         ir: ProgramIR,
         plans: Iterable[KernelPlan],
-        workers: Optional[int] = None,
         catch: tuple = INFEASIBLE,
         on_result=None,
     ) -> List[Optional[SimulationResult]]:
         """Evaluate many plans, results in input order (None = infeasible).
 
-        With ``workers`` (or the evaluator default) > 1, evaluations run
-        on a thread pool; ordering and values are identical to the
-        serial path because the model is pure and results are assembled
-        by input position.  Structural groups large enough for the
-        vectorized backend are priced whole-axis in one NumPy pass;
-        small groups (and any group the vector path cannot handle) run
-        the scalar route — results are bit-for-bit identical either way.
+        Structural groups large enough for the vectorized backend are
+        priced whole-axis in one NumPy pass; small groups (and any group
+        the vector path cannot handle) run the scalar route — results
+        are bit-for-bit identical either way.
         """
         plans = list(plans)
         jobs = None
@@ -868,14 +793,12 @@ class PlanEvaluator:
                 (p, lambda p=p: self.try_evaluate(ir, p, catch=catch))
                 for p in plans
             ]
-            self._maybe_precompute(ir, plans, workers)
-        return self._run_batch(jobs, workers, on_result=on_result)
+        return self._run_batch(jobs, on_result=on_result)
 
     def evaluate_spill_free_batch(
         self,
         ir: ProgramIR,
         plans: Iterable[KernelPlan],
-        workers: Optional[int] = None,
         levels: Sequence[int] = REGISTER_LEVELS,
         on_result=None,
     ) -> List[Optional[Tuple[KernelPlan, SimulationResult]]]:
@@ -892,8 +815,7 @@ class PlanEvaluator:
                 (p, lambda p=p: self.evaluate_spill_free(ir, p, levels=levels))
                 for p in plans
             ]
-            self._maybe_precompute(ir, plans, workers, levels=levels)
-        return self._run_batch(jobs, workers, on_result=on_result)
+        return self._run_batch(jobs, on_result=on_result)
 
     # -- vectorized family pricing ---------------------------------------------
 
@@ -1195,69 +1117,7 @@ class PlanEvaluator:
             counter("simulate.prescreen_rejections").add()
             counter(f"lint.reject.{code}").add()
 
-    def _maybe_precompute(
-        self,
-        ir: ProgramIR,
-        plans: List[KernelPlan],
-        workers: Optional[int],
-        levels: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        """Process-pool pre-computation of the residual scalar work.
-
-        With ``executor='process'``, the pure ``simulate`` calls a
-        scalar batch is about to make are farmed out to a fork-based
-        :class:`ProcessPoolExecutor` first; workers ship back plain
-        ``(family_key, registers, SimulationResult)`` primitives and the
-        parent seeds them into ``_precomputed``, where ``_evaluate``
-        consumes them in place of its own ``simulate`` call.  All
-        accounting, memoization, prescreening and telemetry stay in the
-        parent, so results and statistics are identical to the thread
-        path — simulation results are pure values and pickle exactly.
-        Any pool failure (no fork on this platform, unpicklable IR)
-        degrades silently to plain in-process evaluation.
-        """
-        import multiprocessing
-
-        count = workers if workers is not None else self.workers
-        if (
-            self.executor != "process"
-            or count is None
-            or count <= 1
-            or len(plans) <= 1
-        ):
-            return
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            return
-        token = next(_POOL_TOKEN_COUNTER)
-        _POOL_STATE[token] = (ir, self.device, self.validate, levels)
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            count = min(count, len(plans))
-            chunks = [plans[i::count] for i in range(count)]
-            with _span(
-                "eval.precompute", candidates=len(plans), workers=count
-            ):
-                with ProcessPoolExecutor(
-                    max_workers=count, mp_context=context
-                ) as pool:
-                    for shipped in pool.map(
-                        _pool_simulate_chunk,
-                        [(token, chunk) for chunk in chunks],
-                    ):
-                        with self._lock:
-                            for family_key, registers, result in shipped:
-                                self._precomputed[
-                                    (id(ir), family_key, registers)
-                                ] = result
-        except Exception:  # noqa: BLE001 — pool is an optimization only
-            _obs_count("resilience.pool_failures")
-        finally:
-            _POOL_STATE.pop(token, None)
-
-    def _run_batch(self, jobs, workers: Optional[int], on_result=None) -> List:
+    def _run_batch(self, jobs, on_result=None) -> List:
         """Run ``(plan, thunk)`` jobs, input-ordered, under the guard.
 
         Every job runs inside :meth:`_guarded`, which enforces the
@@ -1271,37 +1131,11 @@ class PlanEvaluator:
         completes — even if a later job aborts the batch — which is
         what lets the tuning journal checkpoint mid-batch progress.
         """
-        count = workers if workers is not None else self.workers
-        serial = count is None or count <= 1 or len(jobs) <= 1
-        if self.executor == "process":
-            # Heavy work was pre-computed on the pool; the remaining
-            # per-candidate finalization is cheap and lock-heavy, so it
-            # runs serially in the parent.
-            serial = True
-        if serial:
-            with _span("eval.batch", candidates=len(jobs), workers=1):
-                return [
-                    self._guarded(plan, thunk, index, on_result)
-                    for index, (plan, thunk) in enumerate(jobs)
-                ]
-        # Worker threads have no tag stack of their own: capture the
-        # submitting thread's search-log context here and re-install it
-        # around every job, so batch candidates carry their tuner tags.
-        tags = self.search_log.capture() if self.search_log else None
-
-        def run_job(plan, thunk, index):
-            if tags is None:
-                return self._guarded(plan, thunk, index, on_result)
-            with self.search_log.use(tags):
-                return self._guarded(plan, thunk, index, on_result)
-
-        with _span("eval.batch", candidates=len(jobs), workers=count):
-            with ThreadPoolExecutor(max_workers=count) as pool:
-                futures = [
-                    pool.submit(run_job, plan, thunk, index)
-                    for index, (plan, thunk) in enumerate(jobs)
-                ]
-                return [future.result() for future in futures]
+        with _span("eval.batch", candidates=len(jobs)):
+            return [
+                self._guarded(plan, thunk, index, on_result)
+                for index, (plan, thunk) in enumerate(jobs)
+            ]
 
     # -- fault tolerance -------------------------------------------------------
 
@@ -1361,11 +1195,15 @@ class PlanEvaluator:
             return thunk()
         box: dict = {}
         done = threading.Event()
-        # The watchdog thread starts with an empty tag stack: hand the
-        # caller's search-log context across so telemetry stays attributed.
+        # The watchdog thread starts with an empty tag stack and its own
+        # thread-locals: hand the caller's search-log context and degraded
+        # flag across so telemetry stays attributed and a degraded re-run
+        # really takes the conservative path.
         tags = self.search_log.capture() if self.search_log else None
+        degraded = self._in_degraded_mode()
 
         def run():
+            self._degraded.value = degraded
             try:
                 if tags is None:
                     box["value"] = thunk()

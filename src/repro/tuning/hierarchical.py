@@ -119,12 +119,11 @@ class HierarchicalTuner:
         hierarchy: Optional[Sequence[VariantGenerator]] = None,
         keep_trace: bool = False,
         evaluator: Optional[PlanEvaluator] = None,
-        workers: Optional[int] = None,
         journal: Optional[TuningJournal] = None,
         lint_prune: bool = False,
     ):
         self.ir = ir
-        self.evaluator = evaluator or PlanEvaluator(device=device, workers=workers)
+        self.evaluator = evaluator or PlanEvaluator(device=device)
         self.device = self.evaluator.device
         self.use_unrolling = use_unrolling
         self.use_register_opts = use_register_opts
@@ -140,7 +139,6 @@ class HierarchicalTuner:
         #: it only when saved simulations matter more than exhaustive
         #: fidelity to the model.
         self.lint_prune = lint_prune
-        self.workers = workers if workers is not None else self.evaluator.workers
         #: checkpoint journal: measured candidates are appended as they
         #: complete, and journaled outcomes replay instead of
         #: re-evaluating (see ``repro.resilience.checkpoint``).
@@ -209,9 +207,10 @@ class HierarchicalTuner:
     def _journal_on_result(self, tag: str):
         """Per-completion callback journaling batch jobs as they finish.
 
-        Runs inside the evaluator's batch loop (possibly on worker
-        threads — the journal appends under its own lock), so a crash
-        mid-batch preserves every candidate that already completed.
+        Runs inside the evaluator's batch loop (on a watchdog thread
+        under ``--eval-timeout`` — the journal appends under its own
+        lock), so a crash mid-batch preserves every candidate that
+        already completed.
         """
         if self.journal is None:
             return None
@@ -283,7 +282,6 @@ class HierarchicalTuner:
         found = self.evaluator.evaluate_spill_free_batch(
             self.ir,
             [plan for _, plan in fresh],
-            workers=self.workers,
             on_result=self._journal_on_result("sf"),
         )
         for (position, _), item in zip(fresh, found):

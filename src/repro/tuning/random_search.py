@@ -74,7 +74,6 @@ def random_search(
     device: DeviceSpec = P100,
     seed: int = 0,
     evaluator: Optional[PlanEvaluator] = None,
-    workers: Optional[int] = None,
 ) -> RandomSearchResult:
     """Sample ``budget`` configurations uniformly; keep the best.
 
@@ -83,18 +82,17 @@ def random_search(
     why unpruned spaces waste their budget.  Every sample counts one
     evaluation, feasible or not (a failed compile still costs a generic
     tuner its budget slot).  The whole budget is submitted as one batch
-    through the shared evaluation engine, so independent samples can be
-    priced in parallel without changing the result.
+    through the shared evaluation engine, so same-family samples are
+    priced together in one vectorized pass.
     """
     rng = random.Random(seed)
-    engine = evaluator or PlanEvaluator(device=device, workers=workers)
+    engine = evaluator or PlanEvaluator(device=device)
     plans = [_sample_plan(rng, ir, kernel_name) for _ in range(budget)]
     # Generic search has no pruning model: broad ValueErrors from deep in
     # the geometry code count as failed compiles, not bugs.
     results = engine.evaluate_batch(
         ir,
         plans,
-        workers=workers,
         catch=(PlanInfeasible, InvalidPlan, ValueError),
     )
     best: Optional[Measurement] = None

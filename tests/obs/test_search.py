@@ -202,16 +202,36 @@ class TestAccountingInvariant:
         if engine.stats.degraded:
             assert log.counts().get("degraded", 0) == engine.stats.degraded
 
-    def test_invariant_with_parallel_workers(self, smoother_ir):
-        log, engine = _tuned(smoother_ir, workers=4)
+    def test_invariant_with_watchdog_thread(self, smoother_ir):
+        # With a per-evaluation timeout every batch job runs on the
+        # engine's watchdog thread, which starts with no tag stack of
+        # its own: the caller's tuner tags must be handed across.
+        threads = []
+
+        class ThreadRecordingLog(SearchLog):
+            def candidate(self, *args, **kwargs):
+                threads.append(threading.current_thread().name)
+                return super().candidate(*args, **kwargs)
+
+        log = ThreadRecordingLog()
+        engine = PlanEvaluator(search_log=log, timeout_s=30)
+        base = seed_plan_from_pragma(smoother_ir, smoother_ir.kernels[0])
+        HierarchicalTuner(smoother_ir, evaluator=engine).tune(
+            base.replace(placements=(("in", "shmem"),))
+        )
         assert log.candidate_count() == engine.stats.requests
-        # batch workers inherit the spawning thread's context tags
-        stages = {
-            e["context"].get("stage")
-            for e in log.events()
-            if e["kind"] == "candidate" and "context" in e
-        }
-        assert "stage1" in stages
+        candidates = [e for e in log.events() if e["kind"] == "candidate"]
+        assert len(candidates) == len(threads)
+        on_watchdog = [
+            event
+            for event, thread in zip(candidates, threads)
+            if thread == "eval-watchdog"
+        ]
+        assert on_watchdog
+        assert all(
+            event.get("context", {}).get("stage") for event in on_watchdog
+        )
+        assert "stage1" in {e["context"]["stage"] for e in on_watchdog}
 
 
 class TestPipelineEvents:

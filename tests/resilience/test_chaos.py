@@ -265,26 +265,32 @@ class TestDeepTuningResume:
         assert engine.stats.requests == 0
 
 
-class TestParallelChaos:
-    def test_parallel_workers_same_faults_same_answer(
-        self, smoother_ir, reference
+class TestWatchdogChaos:
+    @pytest.mark.parametrize(
+        "on_error, seed", [("skip", 11), ("skip", 29), ("degrade", 5)]
+    )
+    def test_watchdog_thread_same_faults_same_answer(
+        self, smoother_ir, reference, on_error, seed
     ):
-        """Content-addressed injection + per-job guards: a parallel
-        chaos run quarantines the same candidates as a serial one."""
+        """Content-addressed injection: a run whose evaluations all go
+        through the timeout watchdog thread meets the same faults, and
+        ends with the same answer, as an in-thread run."""
         base, _, _ = reference
-        serial, serial_engine = _tune(
-            smoother_ir,
-            base,
-            fault_injector=FaultInjector(rate=0.1, seed=11),
-            on_error="skip",
-        )
-        parallel, parallel_engine = _tune(
-            smoother_ir,
-            base,
-            fault_injector=FaultInjector(rate=0.1, seed=11),
-            workers=4,
-            on_error="skip",
-        )
-        assert parallel.best.plan == serial.best.plan
-        assert parallel.best.time_s == serial.best.time_s
-        assert parallel_engine.stats.failures == serial_engine.stats.failures
+        runs = [
+            _tune(
+                smoother_ir,
+                base,
+                fault_injector=FaultInjector(rate=0.1, seed=seed),
+                on_error=on_error,
+                **timeout,
+            )
+            for timeout in ({}, {"timeout_s": 60.0})
+        ]
+        (in_thread, in_engine), (watched, watched_engine) = runs
+        assert watched.best.plan == in_thread.best.plan
+        assert watched.best.time_s == in_thread.best.time_s
+        assert watched.evaluations == in_thread.evaluations
+        assert watched_engine.stats.failures == in_engine.stats.failures
+        assert watched_engine.stats.degraded == in_engine.stats.degraded
+        assert in_engine.stats.failures + in_engine.stats.degraded > 0
+        assert watched_engine.stats.timeouts == 0

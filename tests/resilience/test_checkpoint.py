@@ -171,8 +171,8 @@ class TestWriterLock:
         reopened.close()
 
     def test_sibling_paths_do_not_conflict(self, tmp_path):
-        # The distributed layout: one journal per worker, same
-        # directory.  Locks are per-file, not per-directory.
+        # Two concurrent runs journaling into one directory: locks are
+        # per-file, not per-directory.
         first = TuningJournal(str(tmp_path / "worker-00.jsonl"))
         second = TuningJournal(str(tmp_path / "worker-01.jsonl"))
         first.close()

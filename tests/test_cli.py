@@ -404,7 +404,7 @@ class TestBenchCli:
 
 
 class TestLiveObservatory:
-    """--metrics-port, p50/p95 metric columns, and `repro top`."""
+    """--metrics-port and the p50/p95 metric columns."""
 
     @staticmethod
     def _free_port():
@@ -469,41 +469,67 @@ class TestLiveObservatory:
         )
         assert args.metrics_port == 0
 
-    def _fake_run_dir(self, tmp_path):
-        from repro.distrib import DistribPaths
-        from repro.obs import MetricsRegistry, build_snapshot, write_snapshot
-        from repro.resilience.atomic import atomic_write_json
+    def test_live_stats_publish_counters_and_timing_histograms(self):
+        from repro.cli import _publish_stats_dict
+        from repro.obs import MetricsRegistry
 
-        paths = DistribPaths(str(tmp_path)).ensure()
-        atomic_write_json(
-            paths.config_path,
-            {"device": "P100", "workers": 1, "lease_ttl": 2.0,
-             "created_ts": 0.0},
+        reg = MetricsRegistry()
+        _publish_stats_dict(
+            reg, {"requests": 4, "hits": 1, "wall_s": 0.5, "cpu_s": 0.0}
         )
-        registry = MetricsRegistry()
-        registry.counter("eval.requests").add(10)
-        write_snapshot(
-            paths.worker_metrics_path(0),
-            build_snapshot(0, registry=registry, seq=1),
-        )
-        return paths
+        snap = reg.snapshot()
+        assert snap["eval.requests"]["value"] == 4
+        assert snap["eval.wall_s"]["count"] == 1
+        assert "eval.cpu_s" not in snap  # zero timing -> no observation
 
-    def test_top_once_exits_zero_with_worker_rows(self, tmp_path, capsys):
-        self._fake_run_dir(tmp_path)
-        assert main(["top", str(tmp_path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "ev/s" in out
+    def test_live_stats_publish_skips_negative_derived_values(self):
+        from repro.cli import _publish_stats_dict
+        from repro.obs import MetricsRegistry
 
-    def test_top_missing_directory_is_usage_error(self, tmp_path, capsys):
-        assert main(["top", str(tmp_path / "nowhere")]) == 2
-        assert "error:" in capsys.readouterr().err
+        reg = MetricsRegistry()
+        _publish_stats_dict(reg, {"simulations": -2, "requests": 1})
+        snap = reg.snapshot()
+        assert "eval.simulations" not in snap
+        assert snap["eval.requests"]["value"] == 1
 
-    def test_shard_status_json_has_iso_timestamps(self, tmp_path, capsys):
-        import json
 
-        self._fake_run_dir(tmp_path)
-        assert main(["shard-status", str(tmp_path), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["scanned_iso"].endswith("Z")
-        assert info["created_iso"] == "1970-01-01T00:00:00Z"
+class TestSingleProcessSurface:
+    """Searches run in one process: no worker flags, no run directories."""
+
+    @pytest.mark.parametrize("command", ["shard-status", "top"])
+    def test_removed_subcommands_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["optimize", "deep-tune"])
+    def test_help_lists_no_parallel_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for flag in (
+            "--workers", "--executor", "--distributed", "--distrib-dir",
+            "--lease-ttl",
+        ):
+            assert flag not in text
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "2"),
+            ("--executor", "process"),
+            ("--distributed", "2"),
+            ("--distrib-dir", "runs"),
+            ("--lease-ttl", "1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "deep-tune"])
+    def test_removed_flags_are_usage_errors(self, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "7pt-smoother", flag, value])
+        assert exc.value.code == 2
+
+    def test_bench_has_no_executor_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--executor", "thread"])
+        assert exc.value.code == 2

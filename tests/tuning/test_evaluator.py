@@ -123,19 +123,18 @@ class TestBatch:
             )
             for p in plans
         ]
-        parallel_eval = PlanEvaluator()
-        batched = parallel_eval.evaluate_batch(
+        batch_eval = PlanEvaluator()
+        batched = batch_eval.evaluate_batch(
             smoother_ir,
             plans,
-            workers=4,
             catch=(PlanInfeasible, InvalidPlan, ValueError),
         )
         assert len(batched) == len(plans)
-        for ser, par in zip(serial, batched):
-            assert (ser is None) == (par is None)
+        for ser, bat in zip(serial, batched):
+            assert (ser is None) == (bat is None)
             if ser is not None:
-                assert par.counters == ser.counters
-                assert par.timing == ser.timing
+                assert bat.counters == ser.counters
+                assert bat.timing == ser.timing
 
     def test_spill_free_batch_matches_serial(self, smoother_ir, base_plan):
         variants = [
@@ -146,14 +145,12 @@ class TestBatch:
             serial_eval.evaluate_spill_free(smoother_ir, v) for v in variants
         ]
         batch_eval = PlanEvaluator()
-        batched = batch_eval.evaluate_spill_free_batch(
-            smoother_ir, variants, workers=4
-        )
-        for ser, par in zip(serial, batched):
-            assert (ser is None) == (par is None)
+        batched = batch_eval.evaluate_spill_free_batch(smoother_ir, variants)
+        for ser, bat in zip(serial, batched):
+            assert (ser is None) == (bat is None)
             if ser is not None:
-                assert par[0] == ser[0]
-                assert par[1].timing == ser[1].timing
+                assert bat[0] == ser[0]
+                assert bat[1].timing == ser[1].timing
 
 
 class TestEscalation:
@@ -242,13 +239,6 @@ class TestTunerIntegration:
         # The re-run is served almost entirely from the memo cache.
         assert shared.stats.hits > hits_before
 
-    def test_parallel_tuning_identical_to_serial(self, smoother_ir, base_plan):
-        serial = HierarchicalTuner(smoother_ir).tune(base_plan)
-        threaded = HierarchicalTuner(smoother_ir, workers=4).tune(base_plan)
-        assert threaded.best.plan == serial.best.plan
-        assert threaded.best.time_s == serial.best.time_s
-        assert threaded.evaluations == serial.evaluations
-
 
 BLOCKS = [
     (32, 16), (32, 8), (16, 16), (16, 8),
@@ -260,10 +250,12 @@ class TestTimingAccounting:
     """``wall_s`` vs ``cpu_s`` semantics.
 
     Historically ``wall_s`` summed each thread's time inside the engine,
-    so a 4-worker batch reported up to 4x the real elapsed time (and
-    nested ``evaluate_spill_free`` -> ``evaluate`` frames double-billed
-    even serially).  Now ``wall_s`` merges overlapping busy intervals
-    and ``cpu_s`` carries the per-thread sum.
+    so overlapping threads reported a multiple of the real elapsed time
+    (and nested ``evaluate_spill_free`` -> ``evaluate`` frames
+    double-billed even serially).  Now ``wall_s`` merges overlapping
+    busy intervals and ``cpu_s`` carries the per-thread sum.  Threads
+    overlap in the engine when an ``--eval-timeout`` watchdog outlives
+    the evaluation it abandoned.
     """
 
     def _patch_sleepy_simulate(self, monkeypatch, delay):
@@ -308,15 +300,26 @@ class TestTimingAccounting:
     def test_concurrent_wall_is_elapsed_not_thread_sum(
         self, smoother_ir, base_plan, monkeypatch
     ):
+        import threading
+
         delay = 0.05
         self._patch_sleepy_simulate(monkeypatch, delay)
-        # Scalar path: vectorized batches price whole families in one
-        # pass on the submitting thread, which is exactly what this
-        # thread-timing test must not exercise.
-        evaluator = PlanEvaluator(vectorize=False)
+        evaluator = PlanEvaluator()
         plans = [base_plan.replace(block=block) for block in BLOCKS]
+        results = [None] * len(plans)
+
+        def evaluate(first):
+            for index in (first, first + 4):
+                results[index] = evaluator.evaluate(smoother_ir, plans[index])
+
+        threads = [
+            threading.Thread(target=evaluate, args=(i,)) for i in range(4)
+        ]
         start = time.perf_counter()
-        results = evaluator.evaluate_batch(smoother_ir, plans, workers=4)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         elapsed = time.perf_counter() - start
         stats = evaluator.stats
         assert all(r is not None for r in results)
@@ -325,7 +328,7 @@ class TestTimingAccounting:
         assert stats.cpu_s >= len(BLOCKS) * delay
         # wall_s is real elapsed engine time: bounded by the clock ...
         assert stats.wall_s <= elapsed * 1.05 + 1e-3
-        # ... and, with 4 workers over 8 sleepy jobs, well under the
+        # ... and, with 4 threads over 8 sleepy jobs, well under the
         # thread-sum the old accounting would have reported.
         assert stats.wall_s < stats.cpu_s * 0.7
 

@@ -4,8 +4,7 @@ The vectorized pricing path is a pure throughput lever — every
 observable of a tuning run must be invariant to it: the winner (bitwise),
 the EvalStats accounting (requests, hits, misses, screened,
 ``lint_rejections == screened``), and the failure bookkeeping under
-injected chaos.  The same invariance holds for the process-pool
-executor.  These tests run the full hierarchical tuner through paired
+injected chaos.  These tests run the full hierarchical tuner through paired
 engines and compare everything.
 """
 
@@ -13,10 +12,9 @@ import pytest
 
 from repro.gpu.simulator import reset_simulate_calls, simulate_call_count
 from repro.resilience import FaultInjector
-from repro.resilience.errors import UsageError
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning.deeptuning import fusion_schedule
-from repro.tuning.evaluator import EXECUTOR_MODES, Measurement
+from repro.tuning.evaluator import Measurement
 
 
 #: Stats fields that must not depend on how candidates were priced.
@@ -123,29 +121,6 @@ class TestChaosInvariance:
         else:
             assert vec_engine.stats.degraded > 0
         assert vec_engine.stats.vectorized > 0
-
-
-class TestProcessExecutor:
-    def test_modes(self):
-        assert EXECUTOR_MODES == ("thread", "process")
-        with pytest.raises(UsageError, match="executor"):
-            PlanEvaluator(executor="fiber")
-
-    def test_process_pool_matches_thread_pool(self, smoother_ir, base_plan):
-        ref, ref_engine = _tune(smoother_ir, base_plan, executor="thread")
-        pool, pool_engine = _tune(
-            smoother_ir, base_plan, executor="process", workers=2
-        )
-        assert pool.best.plan == ref.best.plan
-        assert pool.best.time_s == ref.best.time_s
-        assert pool.evaluations == ref.evaluations
-        assert_invariant_stats(pool_engine, ref_engine)
-
-    def test_process_pool_refuses_fault_injector(self):
-        with pytest.raises(UsageError, match="FaultInjector"):
-            PlanEvaluator(
-                executor="process", fault_injector=FaultInjector(rate=0.5)
-            )
 
 
 class TestPhaseAttribution:
