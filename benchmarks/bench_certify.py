@@ -1,11 +1,12 @@
 """Certification-prescreen overhead: certifier on vs off, same winners.
 
 The RL3xx transformation certifier runs inside ``PlanEvaluator``'s
-legality prescreen on every candidate (docs/certification.md).  Tuner
-candidates are single-kernel serial launches the certifier proves
-legal trivially, so the contract is twofold: **winners are
-byte-identical** with the certifier on or off, and the certification
-work adds **under 5% engine wall time**.  Each mode runs ``REPEATS``
+legality prescreen once per candidate family (docs/certification.md);
+with it off, no legality check runs at all.  Tuner candidates are
+single-kernel serial launches the certifier proves legal trivially, so
+the contract is twofold: **winners are byte-identical** with the
+certifier on or off, and the certification work adds **under 5%
+engine wall time**.  Each mode runs ``REPEATS``
 times and the best (least noisy) engine wall is compared.  Results
 land in ``BENCH_certify.json``.
 """

@@ -14,7 +14,8 @@ the run when ``wall_s`` regresses past it.  CI enables this with a
 generous threshold — it exists to catch a vectorized path silently
 falling back to scalar, not to police minor scheduler noise.
 
-A second pass re-runs the suite with family pricing disabled and writes
+A second pass re-runs the suite under scalar pricing
+(:func:`repro.gpu.pricing.scalar_pricing`) and writes
 ``BENCH_compare.json``: the scalar-vs-vectorized before/after artifact,
 reporting both the end-to-end and the pricing-only (engine-attributed
 busy time) speedup, gated on byte-identical winners.
@@ -26,6 +27,7 @@ locally: ``PYTHONPATH=src python -m pytest benchmarks/bench_regression.py``.
 import json
 import os
 
+from repro.gpu.pricing import scalar_pricing
 from repro.suite.bench import compare_bench, format_bench, run_bench
 
 BASELINE_PATH = os.path.join(
@@ -80,7 +82,8 @@ def test_vectorized_comparison():
     # pricing off.  The winners must be byte-identical — vectorization
     # is a cost lever, never a result lever.
     assert _results, "bench did not run"
-    scalar = run_bench(vectorize=False)
+    with scalar_pricing():
+        scalar = run_bench()
     comparison = {"schema": 1, "benchmarks": {}}
     for name, vec_row in _results["benchmarks"].items():
         scal_row = scalar["benchmarks"][name]

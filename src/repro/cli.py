@@ -237,14 +237,6 @@ def _resilience_engine(args, device: DeviceSpec) -> PlanEvaluator:
         timeout_s=getattr(args, "eval_timeout", None),
         failure_budget=getattr(args, "failure_budget", None),
         fault_injector=_fault_injector_from_env(),
-        vectorize=_vectorize_choice(args),
-    )
-
-
-def _vectorize_choice(args):
-    """Map the --pricing flag onto the evaluator's vectorize knob."""
-    return {"vector": True, "scalar": False}.get(
-        getattr(args, "pricing", None)
     )
 
 
@@ -802,11 +794,7 @@ def cmd_bench(args) -> int:
         from .suite.bench import DEFAULT_BENCHMARKS
 
         names = list(DEFAULT_BENCHMARKS)
-    results = run_bench(
-        names,
-        device=_device(args.device),
-        vectorize=_vectorize_choice(args),
-    )
+    results = run_bench(names, device=_device(args.device))
     problems = None
     if args.check or args.baseline:
         baseline_path = args.baseline or "BENCH_search.json"
@@ -862,12 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eval-stats", action="store_true",
             help="print evaluation-engine cache/throughput statistics",
-        )
-        p.add_argument(
-            "--pricing", choices=("vector", "scalar"), default=None,
-            help="force the family-pricing backend on ('vector') or off "
-                 "('scalar'); default: vectorize when NumPy is available. "
-                 "Results are bit-identical either way",
         )
         return p
 
@@ -1096,11 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also gate wall_s: fail when it grows more than TOL "
              "(relative) over the baseline; off by default because CI "
              "machines are noisy",
-    )
-    p.add_argument(
-        "--pricing", choices=("vector", "scalar"), default=None,
-        help="force the family-pricing backend on or off "
-             "(default: vectorize when NumPy is available)",
     )
     p.set_defaults(func=cmd_bench)
 

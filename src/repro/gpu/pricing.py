@@ -17,6 +17,10 @@ and :func:`price_family` then evaluates the whole model as NumPy array
 operations over an ``(N_candidates,)`` lane axis — occupancy, spill
 traffic and timing in one shot.
 
+:func:`price` is the evaluation engine's one entry point: per
+structural family it picks this family pass or the scalar model
+(:func:`price_plan`), whichever the family's size makes cheaper.
+
 Bitwise parity with the scalar path is a hard contract (the evaluation
 engine's winners must be byte-identical), so the implementation mirrors
 the scalar code's *exact* operation order:
@@ -43,8 +47,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -80,16 +94,23 @@ from .simulator import (
     _consumed_name,
     externally_visible,
     intermediate_arrays,
+    plan_prefix,
+    simulate,
 )
 
 __all__ = [
     "FamilyPricing",
     "FamilyStructure",
+    "MIN_FAMILY",
     "PricedLane",
+    "Quote",
     "family_structure",
+    "price",
     "price_family",
+    "price_plan",
     "priced_lane_count",
     "reset_priced_lanes",
+    "scalar_pricing",
 ]
 
 _I8 = np.int64
@@ -133,6 +154,7 @@ class PricedLane:
     occ_message: Optional[str] = None
     occ_context: Dict[str, Any] = field(default_factory=dict)
     occ_code: Optional[str] = None
+    vectorized: bool = True  # False: priced by the scalar model
 
     @property
     def feasible(self) -> bool:
@@ -934,10 +956,16 @@ class FamilyStructure:
         for i in range(n):
             lane_demand = int(demand[i])
             if occ["infeasible"][i]:
-                message, context, code = self._scalar_reject(
+                rejection = _occupancy_rejection(
                     device, int(base["threads"][i]), int(compiled[i]),
                     int(shmem[i]),
                 )
+                if rejection is None:  # pragma: no cover - parity guard
+                    raise AssertionError(
+                        "vectorized occupancy flagged a lane the scalar "
+                        "model accepts"
+                    )
+                message, context, code = rejection
                 lanes.append(
                     PricedLane(
                         demand=lane_demand,
@@ -989,21 +1017,6 @@ class FamilyStructure:
                 )
             )
         return lanes
-
-    def _scalar_reject(
-        self, device: DeviceSpec, threads: int, compiled: int, shmem: int
-    ) -> Tuple[str, Dict[str, Any], str]:
-        """Reproduce the scalar occupancy failure for one lane."""
-        from ..lint.rules_plan import classify_occupancy_failure
-
-        try:
-            _scalar_occupancy(device, threads, compiled, shmem)
-        except ValueError as exc:
-            context = dict(getattr(exc, "context", None) or {})
-            return str(exc), context, classify_occupancy_failure(exc)
-        raise AssertionError(
-            "vectorized occupancy flagged a lane the scalar model accepts"
-        )  # pragma: no cover - parity guard
 
     # -- occupancy over lanes (mirrors occupancy.occupancy) --------------
 
@@ -1412,6 +1425,165 @@ def family_structure(ir: ProgramIR, plan: KernelPlan) -> FamilyStructure:
 
 def clear_structure_cache() -> None:
     _STRUCT_CACHE.clear()
+
+
+def _occupancy_rejection(
+    device: DeviceSpec, threads: int, compiled: int, shmem: int
+) -> Optional[Tuple[str, Dict[str, Any], str]]:
+    """The scalar occupancy failure for one launch shape, or None if it
+    fits: ``(message, context, rule code)``, exactly what
+    :func:`repro.gpu.simulator.plan_occupancy` raises and how the lint
+    layer classifies it (without bumping its rejection counters — the
+    evaluation engine counts a rejection when a request hits it)."""
+    from ..lint.rules_plan import classify_occupancy_failure
+
+    try:
+        _scalar_occupancy(device, threads, compiled, shmem)
+    except ValueError as exc:
+        context = dict(getattr(exc, "context", None) or {})
+        return str(exc), context, classify_occupancy_failure(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the evaluation engine's pricing entry point
+# ---------------------------------------------------------------------------
+
+#: Smallest structural family :func:`price` hands to the family pass.
+#: Below it, building and running a :class:`FamilyStructure` (0.6–1.5
+#: ms for one plan) costs more than the scalar model (0.09–0.29 ms per
+#: plan).
+MIN_FAMILY = 4
+
+_SCALAR_ONLY = False
+
+
+@contextmanager
+def scalar_pricing():
+    """Price every plan with the scalar model inside the block.
+
+    Results are bit-identical either way; the parity tests and the
+    scalar arm of the ``BENCH_compare.json`` comparison use this to
+    measure what the family pass saves.
+    """
+    global _SCALAR_ONLY
+    previous, _SCALAR_ONLY = _SCALAR_ONLY, True
+    try:
+        yield
+    finally:
+        _SCALAR_ONLY = previous
+
+
+def price_plan(
+    ir: ProgramIR, plan: KernelPlan, device: DeviceSpec = P100
+) -> PricedLane:
+    """One plan through the scalar model: the occupancy screen, then
+    :func:`~repro.gpu.simulator.simulate` when the launch fits."""
+    pre = plan_prefix(ir, plan)
+    rejection = _occupancy_rejection(
+        device,
+        pre.geometry.threads_per_block,
+        min(pre.reg_demand, plan.max_registers),
+        pre.shmem,
+    )
+    if rejection is not None:
+        message, context, code = rejection
+        return PricedLane(
+            pre.reg_demand, None, message, context, code, vectorized=False
+        )
+    return PricedLane(
+        pre.reg_demand, simulate(ir, plan, device), vectorized=False
+    )
+
+
+class Quote(NamedTuple):
+    """One plan's entry in :func:`price`'s answer.
+
+    ``plan`` is the plan to request: with register ``levels``, the input
+    plan capped at ``levels[rung]``, its first level that holds the
+    register ``demand``; ``rung`` is -1 when every level spills (``plan``
+    is then the input plan, and nothing was priced).  Without ``levels``
+    both are None.
+    """
+
+    plan: KernelPlan
+    demand: Optional[int]
+    rung: Optional[int]
+    priced: Optional[PricedLane]  # the family pass's lane, if it ran
+    ir: ProgramIR
+    device: DeviceSpec
+
+    def lane(self) -> PricedLane:
+        """The plan's price: the family pass's lane, or the scalar
+        model's, priced per call (so a request the memo serves never
+        runs the model)."""
+        if self.priced is not None:
+            return self.priced
+        return price_plan(self.ir, self.plan, self.device)
+
+
+def _rung(demand: int, levels: Sequence[int]) -> int:
+    return next((j for j, lv in enumerate(levels) if demand <= lv), -1)
+
+
+def price(
+    ir: ProgramIR,
+    plans: Sequence[KernelPlan],
+    device: DeviceSpec = P100,
+    levels: Optional[Sequence[int]] = None,
+    held: Collection[KernelPlan] = (),
+) -> List[Quote]:
+    """Quote plans that share one structural key, in input order.
+
+    The scalar-or-vector choice lives here: below :data:`MIN_FAMILY`
+    plans (or under :func:`scalar_pricing`) each quote prices its plan
+    with the scalar model when asked; at or above it, one family pass
+    prices every lane up front, and if that pass raises, the family is
+    quoted scalar instead (counted as ``pricing.scalar_fallbacks``).
+
+    ``levels`` resolves the register ladder: each plan is quoted at its
+    first non-spilling rung.  ``held`` names plans whose price the
+    caller already has; the family pass leaves them out (with
+    ``levels``, only when every plan is held: the pass that resolves
+    the rungs prices the lanes in the same sweep).
+    """
+    family = None
+    if len(plans) >= MIN_FAMILY and not _SCALAR_ONLY:
+        try:
+            family = _family_pass(ir, plans, device, levels, held)
+        except Exception:  # noqa: BLE001 — the scalar model is the oracle
+            if _metrics_enabled():
+                _obs_counter("pricing.scalar_fallbacks").add()
+    if family is not None:
+        demands, rungs, lanes = family
+    elif levels is None:
+        demands = rungs = lanes = [None] * len(plans)
+    else:
+        demands = [plan_prefix(ir, plan).reg_demand for plan in plans]
+        rungs = [_rung(demand, levels) for demand in demands]
+        lanes = [None] * len(plans)
+    quotes = []
+    for plan, demand, rung, lane in zip(plans, demands, rungs, lanes):
+        if levels is not None and rung >= 0:
+            plan = plan.replace(max_registers=levels[rung])
+        quotes.append(Quote(plan, demand, rung, lane, ir, device))
+    return quotes
+
+
+def _family_pass(ir, plans, device, levels, held):
+    """``(demands, rungs, lanes)`` for :func:`price`, from one vector pass."""
+    structure = family_structure(ir, plans[0])
+    if levels is None:
+        fresh = list(dict.fromkeys(p for p in plans if p not in held))
+        priced = dict(zip(fresh, structure.price(fresh, device)))
+        none = [None] * len(plans)
+        return none, none, [priced.get(p) for p in plans]
+    if all(p in held for p in plans):
+        demands = [int(d) for d in structure.demand(plans)]
+        rungs = [_rung(d, levels) for d in demands]
+        return demands, rungs, [None] * len(plans)
+    demands, rungs, lanes = structure.price_spill_free(plans, levels, device)
+    return [int(d) for d in demands], [int(r) for r in rungs], lanes
 
 
 def _expand_grid(family: KernelPlan, grid: Dict[str, Sequence]) -> List[KernelPlan]:

@@ -11,24 +11,113 @@ Two granularities are used by the optimizer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+import graphlib
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
+from ..dsl.ast import array_accesses, scalar_names
+from .stencil import ProgramIR, StencilInstance
 
-from ..dsl.ast import ArrayAccess, array_accesses, scalar_names
-from .stencil import ProgramIR, Statement, StencilInstance
+Edge = Tuple[Hashable, Hashable]
 
 
-def kernel_dag(ir: ProgramIR) -> nx.DiGraph:
+class _Edges(dict):
+    """``{(u, v): attrs}``; ``edges(data=True)`` yields ``(u, v, attrs)``."""
+
+    def __call__(self, data: bool = False) -> Iterator[tuple]:
+        if data:
+            return ((u, v, attrs) for (u, v), attrs in self.items())
+        return iter(self)
+
+
+class DiGraph:
+    """A directed graph on adjacency dicts, with per-edge attribute dicts.
+
+    Nodes and each node's successors iterate in insertion order, so
+    every traversal below is deterministic.
+    """
+
+    def __init__(self) -> None:
+        self.succ: Dict[Hashable, Dict[Hashable, dict]] = {}
+        self.pred: Dict[Hashable, Dict[Hashable, dict]] = {}
+        self.edges = _Edges()
+
+    @property
+    def nodes(self) -> List[Hashable]:
+        return list(self.succ)
+
+    def add_node(self, node: Hashable) -> None:
+        self.succ.setdefault(node, {})
+        self.pred.setdefault(node, {})
+
+    def add_edge(self, u: Hashable, v: Hashable, **attrs) -> None:
+        """Add ``u -> v``, or update an existing edge's attributes."""
+        self.add_node(u)
+        self.add_node(v)
+        data = self.edges.setdefault((u, v), {})
+        data.update(attrs)
+        self.succ[u][v] = self.pred[v][u] = data
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        return (u, v) in self.edges
+
+    def predecessors(self, node: Hashable) -> Iterator[Hashable]:
+        return iter(self.pred[node])
+
+    def number_of_edges(self) -> int:
+        return len(self.edges)
+
+    def has_path(self, source: Hashable, target: Hashable) -> bool:
+        seen, frontier = {source}, [source]
+        while frontier:
+            node = frontier.pop()
+            if node == target:
+                return True
+            fresh = [v for v in self.succ[node] if v not in seen]
+            seen.update(fresh)
+            frontier.extend(fresh)
+        return False
+
+    def is_acyclic(self) -> bool:
+        try:
+            graphlib.TopologicalSorter(self.pred).prepare()
+        except graphlib.CycleError:
+            return False
+        return True
+
+    def find_cycle(self) -> Optional[List[Edge]]:
+        """The first cycle a depth-first search meets, as its edge list
+        (starting at the node the search re-entered), or None."""
+        done: Set[Hashable] = set()
+        for root in self.succ:
+            if root in done:
+                continue
+            stack = [(root, iter(self.succ[root]))]
+            while stack:
+                node, successors = stack[-1]
+                for v in successors:
+                    path = [n for n, _ in stack]
+                    if v in path:
+                        loop = path[path.index(v):] + [v]
+                        return list(zip(loop, loop[1:]))
+                    if v not in done:
+                        stack.append((v, iter(self.succ[v])))
+                        break
+                else:
+                    done.add(node)
+                    stack.pop()
+        return None
+
+
+def kernel_dag(ir: ProgramIR) -> DiGraph:
     """Build the kernel-level dependence DAG.
 
     Nodes are kernel instance names; an edge u -> v means v reads an
     array that u wrote (RAW), or overwrites data u produced (WAW/WAR),
     so u must execute first.
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for kernel in ir.kernels:
-        graph.add_node(kernel.name, instance=kernel)
+        graph.add_node(kernel.name)
     last_writer: Dict[str, str] = {}
     readers_since_write: Dict[str, List[str]] = {}
     for kernel in ir.kernels:
@@ -49,16 +138,16 @@ def kernel_dag(ir: ProgramIR) -> nx.DiGraph:
     return graph
 
 
-def statement_dag(instance: StencilInstance) -> nx.DiGraph:
+def statement_dag(instance: StencilInstance) -> DiGraph:
     """Build the statement-level dependence DAG within one kernel.
 
     Nodes are statement indices.  Edges capture RAW dependences through
     local scalars and through arrays (any offset — within a kernel a
     producing statement must run before a consumer at the same point).
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for index, stmt in enumerate(instance.statements):
-        graph.add_node(index, statement=stmt)
+        graph.add_node(index)
     scalar_writer: Dict[str, int] = {}
     array_writers: Dict[str, List[int]] = {}
     for index, stmt in enumerate(instance.statements):
@@ -131,6 +220,4 @@ def is_pipeline(ir: ProgramIR) -> bool:
     raw_edges = [
         (u, v) for u, v, d in graph.edges(data=True) if d.get("kind") == "RAW"
     ]
-    return len(raw_edges) >= len(ir.kernels) - 1 and nx.is_directed_acyclic_graph(
-        graph
-    )
+    return len(raw_edges) >= len(ir.kernels) - 1 and graph.is_acyclic()

@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..ir.analysis import array_offset_sets, memoized_kv
+from ..ir.dag import DiGraph
 from ..ir.stencil import ProgramIR
 
 FLOW = "flow"
@@ -234,18 +233,18 @@ def _kernel_dependences(ir: ProgramIR) -> Tuple[DependenceEdge, ...]:
     return tuple(edges)
 
 
-def dependence_graph(ir: ProgramIR) -> nx.DiGraph:
+def dependence_graph(ir: ProgramIR) -> DiGraph:
     """Kernel-level digraph over :func:`kernel_dependences` edges.
 
     Structurally equivalent to :func:`repro.ir.dag.kernel_dag`; edge
     data carries the :class:`DependenceEdge` list for each pair.
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for kernel in ir.kernels:
         graph.add_node(kernel.name)
     for edge in kernel_dependences(ir):
         if graph.has_edge(edge.source, edge.sink):
-            graph[edge.source][edge.sink]["edges"].append(edge)
+            graph.edges[edge.source, edge.sink]["edges"].append(edge)
         else:
             graph.add_edge(edge.source, edge.sink, edges=[edge])
     return graph
@@ -283,15 +282,13 @@ def interposed_kernels(
             for outsider in (k.name for k in ir.kernels):
                 if outsider in members:
                     continue
-                if nx.has_path(graph, a, outsider) and nx.has_path(
-                    graph, outsider, b
-                ):
+                if graph.has_path(a, outsider) and graph.has_path(outsider, b):
                     chains.append((a, outsider, b))
                     break
     return tuple(chains)
 
 
-def array_flow_graph(ir: ProgramIR) -> nx.DiGraph:
+def array_flow_graph(ir: ProgramIR) -> DiGraph:
     """Array-level dataflow graph (``source array -> written array``).
 
     Used by RL104's cycle detection.  A read of an array the kernel
@@ -307,7 +304,7 @@ def array_flow_graph(ir: ProgramIR) -> nx.DiGraph:
     for kernel in ir.kernels:
         for array in kernel.arrays_written():
             writers.setdefault(array, set()).add(kernel.name)
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for kernel in ir.kernels:
         written = set(kernel.arrays_written())
         for source in kernel.arrays_read():

@@ -1,8 +1,8 @@
 """Plan-level lint rules (``RL2xx``): kernel-plan legality prescreen.
 
 :func:`check_plan` is the full catalog pass used by ``repro lint`` and
-tests; :func:`plan_rejection` is the fast short-circuit path the
-evaluation engine runs before simulating a candidate (first error wins),
+tests; :func:`plan_rejection` is the fast short-circuit verdict the
+evaluation engine reaches before simulating a candidate (first error wins),
 and :func:`classify_occupancy_failure` maps the occupancy model's
 structured :class:`~repro.resilience.errors.InfeasiblePlanError` context
 onto stable rule codes so the simulator's prescreen rejections and the
@@ -11,15 +11,13 @@ lint CLI speak the same language.
 Resource feasibility (shmem capacity, register file, thread limits) is
 delegated to the same :func:`~repro.gpu.simulator.plan_occupancy`
 arithmetic the simulator itself runs — the lint layer adds *structural*
-rules (fusion order, time tiling, streaming unroll) and classification,
-never a second resource model that could drift.
+rules (transformation legality, time tiling, streaming unroll) and
+classification, never a second resource model that could drift.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
-
-import networkx as nx
 
 from ..codegen.plan import KernelPlan
 from ..ir.stencil import ProgramIR
@@ -48,11 +46,6 @@ RL205 = rule(
     "RL205", "overtile", WARNING,
     "a block tile (threads x unroll) exceeds the domain extent along "
     "some axis — part of every block is idle",
-)
-RL206 = rule(
-    "RL206", "fusion-order", ERROR,
-    "the plan fuses kernels in an order that contradicts the program's "
-    "dependence DAG",
 )
 RL207 = rule(
     "RL207", "time-tile-non-iterative", ERROR,
@@ -163,17 +156,13 @@ def _shape_findings(
 def _fusion_findings(
     ir: ProgramIR, plan: KernelPlan
 ) -> List[Diagnostic]:
-    """Transformation legality — certified (RL3xx) or structural (RL206).
+    """Transformation legality, certified (RL3xx).
 
-    With the dependence certifier on (the default) every transformation
-    the plan encodes is proven against exact dependence distances and
-    refutations come back as RL301-RL304 with counterexample witnesses
-    (:mod:`repro.lint.rules_transform`).  With it off, the legacy
-    structural RL206 pass runs: DAG edge direction plus a distance check
-    for concurrent streaming (so a DAG-consistent order that races a
-    nonzero cross-kernel offset along the streamed axis is still
-    flagged).  RL206 defers entirely when the certifier is on — the two
-    paths never double-report one violation.
+    Every transformation the plan encodes is proven against exact
+    dependence distances and refutations come back as RL301-RL304 with
+    counterexample witnesses (:mod:`repro.lint.rules_transform`).  With
+    the certifier off (``certification_disabled()``) no legality check
+    runs at all.
 
     Unlike the shape rules this one *does* reject in the engine: a
     fused launch that runs a consumer before its producer prices
@@ -183,73 +172,6 @@ def _fusion_findings(
 
     if certifier_enabled():
         return certify_plan_transformations(ir, plan)
-    return _legacy_fusion_findings(ir, plan)
-
-
-def _legacy_fusion_findings(
-    ir: ProgramIR, plan: KernelPlan
-) -> List[Diagnostic]:
-    artifact = _plan_artifact(plan)
-    out: List[Diagnostic] = []
-    if len(plan.kernel_names) > 1:
-        try:
-            order = [ir.kernel(name).name for name in plan.kernel_names]
-        except KeyError:
-            order = []
-        if order:
-            from ..ir.dag import kernel_dag
-
-            dag = kernel_dag(ir)
-            for i in range(len(order)):
-                for j in range(i + 1, len(order)):
-                    if nx.has_path(dag, order[j], order[i]):
-                        out.append(
-                            Diagnostic(
-                                RL206,
-                                f"plan fuses {order[i]!r} before "
-                                f"{order[j]!r}, but the dependence DAG "
-                                f"requires {order[j]!r} to run first",
-                                artifact=artifact,
-                            )
-                        )
-                        return out
-            out.extend(_legacy_stream_distance_findings(ir, plan, artifact))
-    return out
-
-
-def _legacy_stream_distance_findings(
-    ir: ProgramIR, plan: KernelPlan, artifact: str
-) -> List[Diagnostic]:
-    """Distance-aware half of legacy RL206: DAG-consistent fusion that
-    chunk-races a nonzero (or unknown) cross-kernel offset along the
-    concurrently streamed axis."""
-    from ..codegen.plan import STREAM_CONCURRENT
-    from .dependence import FLOW, edges_between
-
-    if plan.streaming != STREAM_CONCURRENT or plan.concurrent_chunks <= 1:
-        return []
-    axis = plan.stream_axis
-    if axis >= ir.ndim:
-        return []
-    for edge in edges_between(ir, plan.kernel_names):
-        if edge.kind != FLOW:
-            continue
-        components = edge.axis_distances(axis)
-        offending = [c for c in components if c is None or c != 0]
-        if offending:
-            shown = offending[0]
-            return [
-                Diagnostic(
-                    RL206,
-                    f"plan fuses {edge.source!r} with {edge.sink!r} in "
-                    "DAG order, but streaming them in "
-                    f"{plan.concurrent_chunks} concurrent chunks races "
-                    f"the flow dependence through {edge.array!r} "
-                    f"({'unknown' if shown is None else f'distance {shown}'} "
-                    f"along axis {axis})",
-                    artifact=artifact,
-                )
-            ]
     return []
 
 
@@ -406,10 +328,9 @@ def fusion_rejection(ir: ProgramIR, plan: KernelPlan) -> Optional[Diagnostic]:
     ``concurrent_chunks``, ``retime``) — never on the block shape,
     unroll factors or register cap — so the evaluation engine probes it
     once per plan *family* and reuses the finding (an RL3xx
-    certification refutation, or legacy RL206 when the certifier is
-    off) for every lane, instead of re-certifying per candidate.  (The
-    per-candidate ``lint.reject.*`` counter still fires at rejection
-    time, not here.)
+    certification refutation) for every lane, instead of re-certifying
+    per candidate.  (The per-candidate ``lint.reject.*`` counter still
+    fires at rejection time, not here.)
     """
     fusion = _fusion_findings(ir, plan)
     return fusion[0] if fusion else None
@@ -423,8 +344,10 @@ def plan_rejection(
 ) -> Optional[Diagnostic]:
     """First error-severity finding for a plan, or None if launchable.
 
-    The evaluation engine's prescreen: cheap structural rules first,
-    then the memoized occupancy arithmetic.  Advisory (warning/info)
+    The evaluation engine's prescreen verdict for one plan: cheap
+    structural rules first, then the memoized occupancy arithmetic
+    (the engine itself runs the structural half once per family and
+    reads the occupancy half off the priced lane).  Advisory (warning/info)
     rules never reject — they cannot change which plan wins, only how
     fast the search converges, so the tuners handle them separately.
     """

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from ..dsl.ast import (
     ArrayAccess,
     Assignment,
@@ -252,10 +250,8 @@ def _check_dependence_cycle(
     # array that a *third* kernel also writes went undetected.
     from .dependence import array_flow_graph
 
-    graph = array_flow_graph(ir)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
+    cycle = array_flow_graph(ir).find_cycle()
+    if cycle is None:
         return []
     chain = " -> ".join([edge[0] for edge in cycle] + [cycle[0][0]])
     return [

@@ -76,8 +76,8 @@ RL305 = rule(
     "exploits no producer-consumer reuse",
 )
 
-#: Process-global certifier switch.  On by default; ``repro bench`` and
-#: the overhead benchmark flip it off to measure the legacy prescreen.
+#: Process-global certifier switch.  On by default; the overhead
+#: benchmark flips it off to measure a run with no legality check.
 _ENABLED = True
 
 
@@ -95,7 +95,7 @@ def set_certification_enabled(on: bool) -> bool:
 
 @contextmanager
 def certification_disabled():
-    """Run a block under the legacy structural prescreen (RL206 only)."""
+    """Run a block with no transformation-legality check at all."""
     previous = set_certification_enabled(False)
     try:
         yield

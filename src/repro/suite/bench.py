@@ -67,15 +67,12 @@ def run_bench(
     benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     device: DeviceSpec = P100,
     top_k: int = 2,
-    vectorize: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Run the suite and collect the search-cost profile per benchmark.
 
-    ``vectorize`` configures the shared :class:`PlanEvaluator` (the
-    default matches production: family pricing on when numpy is
-    available) — the before/after comparison artifact
-    runs the same suite with ``vectorize=False`` to measure the scalar
-    path on the same machine.
+    The before/after comparison artifact runs this again under
+    :func:`repro.gpu.pricing.scalar_pricing` to measure the scalar path
+    on the same machine.
     """
     from ..pipeline import optimize
     from . import get as get_benchmark
@@ -83,7 +80,7 @@ def run_bench(
     results: Dict[str, Any] = {}
     for name in benchmarks:
         ir = get_benchmark(name).ir()
-        engine = PlanEvaluator(device=device, vectorize=vectorize)
+        engine = PlanEvaluator(device=device)
         calls_before = simulate_call_count()
         start = time.perf_counter()
         outcome = optimize(ir, device=device, top_k=top_k, evaluator=engine)

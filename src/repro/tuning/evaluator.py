@@ -1,49 +1,45 @@
-"""Shared plan-evaluation engine: memoized, incremental, vectorized.
+"""Shared plan-evaluation engine: one memoized request pipeline.
 
 Every result in this repository flows through repeated invocations of
-the analytical simulator — hierarchical autotuning (§V), deep tuning's
+the analytical model — hierarchical autotuning (§V), deep tuning's
 per-degree sweeps (§VI-A), fission search (§VI-B), random search and the
-baseline generators all price candidate :class:`KernelPlan`s with
-:func:`repro.gpu.simulator.simulate`.  A fast analytical model is only a
-net win while evaluation cost stays negligible next to the search-space
-size, so all search code routes measurements through one
-:class:`PlanEvaluator`, which provides:
+baseline generators all price candidate :class:`KernelPlan`s.  A fast
+analytical model is only a net win while evaluation cost stays
+negligible next to the search-space size, so all search code routes
+measurements through one :class:`PlanEvaluator`.  Every entry point —
+one plan or a batch, plain or spill-free — runs the same pipeline:
 
-* **content-addressed memoization** — simulation results are cached by a
-  canonical plan fingerprint + IR identity + device, so duplicate
-  variants (stage 2 generates overlapping variants per survivor, deep
-  tuning re-visits degree-1 plans, benchmarks re-tune the same kernels)
-  are never simulated twice.  Memoized and fresh paths return the very
-  same :class:`SimulationResult` objects — results are deterministic and
-  bit-for-bit identical either way.
-* **incremental simulation** — the simulator's register-independent
-  prefix (geometry, stages, buffers, access analysis, register demand)
-  is cached per plan *family*, so the paper's register-escalation ladder
-  (32 → 64 → 128 → 255) collapses: demand is known up front and the
-  evaluator jumps straight to the first non-spilling rung instead of
-  simulating every spilling one.
-* **vectorized family pricing** — batches are grouped by structural
-  plan key and each large group is priced in one NumPy pass over the
-  whole candidate axis (:mod:`repro.gpu.pricing`), bit-for-bit equal to
-  the scalar path; per-lane finalization replays the normal accounting,
-  memoization and telemetry.  Per-phase activity is attributed through
-  :meth:`PlanEvaluator.phase` (``docs/performance_model.md``).
-* **batch evaluation** — :meth:`PlanEvaluator.evaluate_batch` runs
-  every candidate in one serial loop, in input order, in the caller's
-  process.  There is no parallel mode: pricing one candidate costs tens
-  of microseconds, so worker start-up and the GIL cost more than they
-  could save (``docs/performance_model.md``).
-* **fault tolerance** — every batch job is guarded: an unexpected
-  (non-infeasibility) exception in one candidate is captured per-job
-  and resolved by the engine's ``on_error`` policy (``fail-fast`` |
-  ``skip`` | ``degrade``) instead of killing the whole batch;
-  per-evaluation timeouts, bounded retry-with-backoff and a failure
-  budget bound the blast radius of bad candidates, and a seedable
-  :class:`~repro.resilience.FaultInjector` can be attached to exercise
-  each of those paths deterministically (``docs/robustness.md``).
-* **cache / throughput statistics** — hits, misses, simulations avoided
-  wall-clock, plus failure/retry/timeout counters, surfaced through
-  tuning results, ``pipeline.report`` and the ``--eval-stats`` CLI flag.
+1. **group** the plans by structural key
+   (:func:`~repro.codegen.tiling.plan_structural_key`);
+2. **validate** each family and run its **legality screen**
+   (:func:`~repro.lint.rules_plan.fusion_rejection`: the RL3xx
+   certifier) once — both are family-stable;
+3. **filter the memo** — results are cached by a content address
+   (plan fingerprint + IR identity + device), so duplicate variants are
+   never priced twice; memoized and fresh paths return the very same
+   :class:`SimulationResult` objects;
+4. **price** through :func:`repro.gpu.pricing.price`, which picks the
+   scalar model or one vectorized family pass and, in spill-free mode,
+   resolves the paper's register ladder (32 → 64 → 128 → 255) from the
+   register-independent demand instead of simulating spilling rungs;
+5. **finalize** each lane as one request: occupancy screen, fault
+   injection, memo write, one search-log event, stats.
+
+Batches run serially, in input order, in the caller's process: pricing
+one candidate costs tens of microseconds, so worker start-up and the
+GIL cost more than they could save (``docs/performance_model.md``).
+
+Every batch job is guarded: an unexpected (non-infeasibility) exception
+in one candidate is captured per-job and resolved by the engine's
+``on_error`` policy (``fail-fast`` | ``skip`` | ``degrade``) instead of
+killing the whole batch; per-evaluation timeouts, bounded
+retry-with-backoff and a failure budget bound the blast radius of bad
+candidates, and a seedable :class:`~repro.resilience.FaultInjector` can
+be attached to exercise each of those paths deterministically
+(``docs/robustness.md``).  Hits, misses, avoided simulations, wall-clock
+and the failure/retry/timeout counters surface through tuning results,
+``pipeline.report`` and the ``--eval-stats`` CLI flag, per phase via
+:meth:`PlanEvaluator.phase`.
 
 Evaluation accounting is uniform: one *request* per candidate plan
 submitted (feasible, spilling or infeasible alike), independent of how
@@ -60,6 +56,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
@@ -71,14 +68,10 @@ from ..codegen.tiling import (
 )
 from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
-from ..gpu.simulator import (
-    PlanInfeasible,
-    plan_occupancy,
-    plan_prefix,
-    simulate,
-)
+from ..gpu.pricing import price
+from ..gpu.simulator import PlanInfeasible, simulate
 from ..ir.stencil import ProgramIR
-from ..lint.rules_plan import _count_rejection, fusion_rejection, plan_rejection
+from ..lint.rules_plan import _count_rejection, fusion_rejection
 from ..obs import span as _span
 from ..obs.search import SearchLog
 from ..resilience import (
@@ -103,37 +96,15 @@ def _obs_count(name: str, value: int = 1) -> None:
     if metrics_enabled():
         counter(name).add(value)
 
-#: Escalation strategies: ``incremental`` uses the cached register
-#: demand to jump straight to the first non-spilling rung; ``ladder``
-#: simulates every rung like the seed implementation (kept for
-#: benchmarking and equivalence tests).
-ESCALATION_MODES = ("incremental", "ladder")
 
-#: Smallest structural group worth routing through the vectorized
-#: pricing backend — below this the per-family setup cost (structure
-#: capture, array assembly) beats the per-lane savings.
-MIN_FAMILY = 4
+def _count_occupancy_screen(code: Optional[str]) -> None:
+    """Mirror ``plan_occupancy``'s rejection counters for a priced lane."""
+    from ..obs import counter, metrics_enabled
 
+    if metrics_enabled():
+        counter("simulate.prescreen_rejections").add()
+        counter(f"lint.reject.{code}").add()
 
-def _pricing_module():
-    """The vectorized pricing backend, or None when NumPy is absent.
-
-    Resolved lazily and cached so environments without NumPy degrade to
-    the scalar path instead of failing at import time.
-    """
-    global _PRICING
-    if _PRICING is _UNRESOLVED:
-        try:
-            from ..gpu import pricing as _mod
-
-            _PRICING = _mod
-        except Exception:  # pragma: no cover - no-numpy environments
-            _PRICING = None
-    return _PRICING
-
-
-_UNRESOLVED = object()
-_PRICING = _UNRESOLVED
 
 @dataclass(frozen=True)
 class Measurement:
@@ -359,23 +330,15 @@ class PlanEvaluator:
     def __init__(
         self,
         device: DeviceSpec = P100,
-        memoize: bool = True,
-        escalation: str = "incremental",
         validate: bool = True,
-        prescreen: bool = True,
         on_error: str = "fail-fast",
         retry: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
         failure_budget: Optional[object] = None,
         fault_injector: Optional[FaultInjector] = None,
         search_log: Optional[SearchLog] = None,
-        vectorize: Optional[bool] = None,
+        reference: bool = False,
     ):
-        if escalation not in ESCALATION_MODES:
-            raise UsageError(
-                f"unknown escalation mode {escalation!r}; "
-                f"expected one of {ESCALATION_MODES}"
-            )
         if on_error not in ON_ERROR_POLICIES:
             raise UsageError(
                 f"unknown on_error policy {on_error!r}; "
@@ -384,15 +347,10 @@ class PlanEvaluator:
         if timeout_s is not None and timeout_s <= 0:
             raise UsageError("timeout_s must be positive")
         self.device = device
-        self.memoize = memoize
-        self.escalation = escalation
         #: run ``validate_plan`` before simulating (some baselines probe
         #: raw configurations the way a fixed code generator would,
         #: without the planner's feasibility screen).
         self.validate = validate
-        #: reject launch-infeasible candidates from the occupancy screen
-        #: without running the full counter/timing model.
-        self.prescreen = prescreen
         #: what a persistent (post-retry) unexpected failure does to a
         #: batch: abort it, quarantine the candidate, or first try the
         #: degraded path.  See ``repro.resilience.ON_ERROR_POLICIES``.
@@ -409,14 +367,8 @@ class PlanEvaluator:
         #: screens, infeasibilities, faults included — emits exactly one
         #: ``candidate`` event, so the log mirrors ``stats.requests``.
         self.search_log = search_log
-        #: route batch evaluation through the vectorized family-pricing
-        #: backend (``repro.gpu.pricing``) when structural groups are
-        #: large enough.  Defaults to "whenever NumPy is importable";
-        #: results are bit-for-bit identical either way, so this is a
-        #: pure throughput knob.
-        if vectorize is None:
-            vectorize = _pricing_module() is not None
-        self.vectorize = bool(vectorize)
+        #: the seed-equivalent reference path (:meth:`seed_mode`).
+        self.reference = reference
         #: per-phase activity, accumulated by :meth:`phase` — tuners
         #: wrap their stages so cache behaviour can be reported per
         #: phase instead of as one misleading whole-run ratio.
@@ -444,18 +396,13 @@ class PlanEvaluator:
     def seed_mode(cls, device: DeviceSpec = P100) -> "PlanEvaluator":
         """An engine that replicates the pre-engine evaluation path:
 
-        no memoization, the full 4-rung register ladder, no occupancy
-        prescreen.  Combine with :func:`evaluation_caches_disabled` to
-        also recompute the per-family geometry each time.  Benchmarks
-        and equivalence tests use this as the comparison baseline.
+        no memoization, the full 4-rung register ladder, no legality or
+        occupancy prescreen, and one scalar ``simulate`` per request.
+        Combine with :func:`evaluation_caches_disabled` to also
+        recompute the per-family geometry each time.  Benchmarks and
+        equivalence tests use this as the comparison baseline.
         """
-        return cls(
-            device=device,
-            memoize=False,
-            escalation="ladder",
-            prescreen=False,
-            vectorize=False,
-        )
+        return cls(device=device, reference=True)
 
     # -- phase accounting ------------------------------------------------------
 
@@ -490,10 +437,10 @@ class PlanEvaluator:
         """Account engine time: merged-interval wall + per-thread cpu sum.
 
         Only a thread's *outermost* engine frame participates (nested
-        calls — ``evaluate_spill_free`` invoking ``evaluate`` — must not
-        double-bill), and overlapping frames from an abandoned watchdog
-        thread extend one shared busy interval instead of each adding
-        their own full delta.
+        calls — ``try_evaluate`` invoking ``evaluate``, an entry point
+        running its jobs — must not double-bill), and overlapping
+        frames from an abandoned watchdog thread extend one shared busy
+        interval instead of each adding their own full delta.
         """
         depth = getattr(self._depth, "value", 0)
         self._depth.value = depth + 1
@@ -519,7 +466,293 @@ class PlanEvaluator:
                 if self._busy == 0:
                     self.stats.wall_s += end - self._busy_open
 
-    # -- single evaluation -----------------------------------------------------
+    # -- entry points ----------------------------------------------------------
+
+    def evaluate(self, ir: ProgramIR, plan: KernelPlan) -> SimulationResult:
+        """Validate + price one plan, memoized.
+
+        Raises :class:`PlanInfeasible` / :class:`InvalidPlan` exactly as
+        the direct ``validate_plan`` + ``simulate`` path would.
+        """
+        with self._timed():
+            (job,) = self._jobs(ir, [plan], catch=())
+            return job()
+
+    def try_evaluate(
+        self,
+        ir: ProgramIR,
+        plan: KernelPlan,
+        catch: tuple = INFEASIBLE,
+    ) -> Optional[SimulationResult]:
+        """Like :meth:`evaluate` but returns None for infeasible plans."""
+        try:
+            return self.evaluate(ir, plan)
+        except catch:
+            return None
+
+    def evaluate_spill_free(
+        self,
+        ir: ProgramIR,
+        plan: KernelPlan,
+        levels: Sequence[int] = REGISTER_LEVELS,
+    ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
+        """The paper's dynamic register-increment ladder, incrementally.
+
+        Returns the first (plan, result) along the escalation levels that
+        does not spill, or None when the plan is infeasible or spills
+        even at the top level.  The register-independent demand picks
+        the rung up front, so the spilling rungs below it are skipped
+        entirely — the chosen plan and its result are identical to
+        walking the full ladder (which :meth:`seed_mode` still does).
+        """
+        with self._timed():
+            (job,) = self._jobs(ir, [plan], levels=tuple(levels))
+            return job()
+
+    def evaluate_batch(
+        self,
+        ir: ProgramIR,
+        plans: Iterable[KernelPlan],
+        catch: tuple = INFEASIBLE,
+        on_result=None,
+    ) -> List[Optional[SimulationResult]]:
+        """Evaluate many plans, results in input order (None = infeasible)."""
+        plans = list(plans)
+        jobs = self._jobs(ir, plans, catch=catch)
+        return self._run_batch(plans, jobs, on_result)
+
+    def evaluate_spill_free_batch(
+        self,
+        ir: ProgramIR,
+        plans: Iterable[KernelPlan],
+        levels: Sequence[int] = REGISTER_LEVELS,
+        on_result=None,
+    ) -> List[Optional[Tuple[KernelPlan, SimulationResult]]]:
+        """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
+        plans = list(plans)
+        jobs = self._jobs(ir, plans, levels=tuple(levels))
+        return self._run_batch(plans, jobs, on_result)
+
+    # -- the request pipeline --------------------------------------------------
+
+    def _jobs(
+        self,
+        ir: ProgramIR,
+        plans: List[KernelPlan],
+        levels: Optional[Tuple[int, ...]] = None,
+        catch: tuple = INFEASIBLE,
+    ) -> List:
+        """One input-ordered job (a thunk) per plan.
+
+        Groups by structural key, validates and screens each family
+        once, and has :func:`repro.gpu.pricing.price` quote the family
+        (scalar or vectorized); each job then finalizes one plan.
+        ``levels`` selects spill-free mode.
+        """
+        with self._timed():
+            groups: Dict[tuple, List[int]] = {}
+            for index, plan in enumerate(plans):
+                groups.setdefault(plan_structural_key(plan), []).append(index)
+            jobs: List = [None] * len(plans)
+            for indexes in groups.values():
+                family = [plans[i] for i in indexes]
+                for i, job in zip(
+                    indexes, self._family_jobs(ir, family, levels, catch)
+                ):
+                    jobs[i] = job
+            return jobs
+
+    def _family_jobs(self, ir, family, levels, catch) -> List:
+        invalid = None
+        if self.validate:
+            try:
+                validate_plan(ir, family[0])
+            except INFEASIBLE as exc:
+                invalid = exc
+        if levels is not None and self.reference:
+            return [
+                partial(self._ladder, ir, p, levels, invalid) for p in family
+            ]
+        if levels is not None and invalid is not None:
+            reason = f"infeasible: {invalid}"
+            return [partial(self._prune, p, reason) for p in family]
+        if self.reference or invalid is not None:
+            return [
+                partial(self._finalize, ir, p, None, invalid, None, catch)
+                for p in family
+            ]
+        # Transformation legality depends only on family-stable fields,
+        # so the certifier runs once per family, not per candidate.
+        screen = fusion_rejection(ir, family[0])
+        if screen is not None:
+            held = set(family)  # screened requests never need a price
+        elif levels is None:
+            held = {p for p in family if self._memo(ir, self._key(ir, p))}
+        else:
+            held = ()
+        quotes = price(ir, family, self.device, levels, held)
+        if levels is not None:
+            return [
+                partial(self._spill_free, ir, q, screen, levels)
+                for q in quotes
+            ]
+        return [
+            partial(self._finalize, ir, q.plan, q.lane, None, screen, catch)
+            for q in quotes
+        ]
+
+    def _memo(self, ir: ProgramIR, key: tuple) -> Optional[tuple]:
+        """The memoized ``(status, value)`` under ``key``, or None."""
+        with self._lock:
+            hit = self._cache.get(key)
+        return hit[1] if hit is not None and hit[0] is ir else None
+
+    def _ladder(self, ir, plan, levels, invalid):
+        """The seed path's escalation: request every rung up to the
+        first that does not spill."""
+        with self._timed():
+            for level in levels:
+                candidate = plan.replace(max_registers=level)
+                try:
+                    result = self._request(ir, candidate, None, invalid, None)
+                except INFEASIBLE:
+                    return None
+                if not result.counters.has_spills:
+                    return candidate, result
+            return None
+
+    def _spill_free(self, ir, quote, screen, levels):
+        with self._timed():
+            if quote.rung < 0:
+                # Spills even at the top level: every rung would have
+                # spilled; the seed ladder discarded the candidate too.
+                self.stats.rungs_skipped += len(levels)
+                return self._prune(
+                    quote.plan,
+                    f"spills at every register level "
+                    f"(demand {quote.demand} > {levels[-1]})",
+                )
+            self.stats.rungs_skipped += quote.rung
+            try:
+                result = self._request(ir, quote.plan, quote.lane, None, screen)
+            except INFEASIBLE:
+                return None
+            return quote.plan, result
+
+    def _prune(self, plan: KernelPlan, reason: str) -> None:
+        """A candidate resolved without a request (no model run)."""
+        if self.search_log is not None:
+            self.search_log.prune(
+                plan,
+                family=plan_fingerprint(plan, include_registers=False),
+                reason=reason,
+            )
+
+    def _finalize(self, ir, plan, lane, invalid, screen, catch):
+        with self._timed():
+            try:
+                return self._request(ir, plan, lane, invalid, screen)
+            except catch:
+                return None
+
+    def _request(
+        self, ir: ProgramIR, plan: KernelPlan, lane, invalid, screen
+    ) -> SimulationResult:
+        """One request: memo read, the family's validation failure or
+        legality rejection, the occupancy screen, fault injection, the
+        price (``lane()``), memo write and exactly one candidate event.
+
+        The reference and degraded paths skip the memo read and both
+        screens and run scalar ``simulate`` instead of ``lane``.
+        """
+        self.stats.requests += 1
+        degraded = self._in_degraded_mode()
+        conservative = degraded or self.reference
+        key = self._key(ir, plan)
+        hit = None if conservative else self._memo(ir, key)
+        if hit is not None:
+            self.stats.hits += 1
+            status, value = hit
+            if status == "ok":
+                self._log_candidate(plan, "cache-hit", result=value)
+                return value
+            self.stats.infeasible += 1
+            self._log_candidate(plan, "cache-hit-infeasible", reason=str(value))
+            raise value
+        self.stats.misses += 1
+        screened = False
+        try:
+            if invalid is not None:
+                raise invalid
+            # Legality prescreen: an RL3xx refutation of the family's
+            # transformations, or the cheap register-dependent occupancy
+            # suffix — candidates the device cannot run (or whose
+            # transformations are provably illegal) are rejected without
+            # paying for the counter and timing models, and every
+            # rejection carries a stable ``RLxxx`` rule code.
+            rejection = None
+            if not conservative:
+                if screen is not None:
+                    _count_rejection(screen.code)
+                    rejection = (screen.code, screen.message, screen.witness)
+                else:
+                    priced = lane()
+                    if priced.result is None:
+                        _count_occupancy_screen(priced.occ_code)
+                        rejection = (priced.occ_code, priced.occ_message, None)
+            if rejection is not None:
+                code, message, witness = rejection
+                self.stats.screened += 1
+                self.stats.lint_rejections += 1
+                screened = True
+                # RL3xx refutations carry a counterexample (grid point +
+                # event pair); thread it into the exception context so
+                # batch telemetry can show *why* the plan is illegal.
+                raise PlanInfeasible(
+                    f"[{code}] {message}",
+                    rule=code,
+                    witness=(
+                        witness.describe() if witness is not None else None
+                    ),
+                )
+            if self.fault_injector is not None:
+                self.fault_injector.invoke(
+                    plan_fingerprint(plan), degraded=degraded
+                )
+            if conservative:
+                result = simulate(ir, plan, self.device)
+            else:
+                result = priced.result
+                if priced.vectorized:
+                    self.stats.vectorized += 1
+        except INFEASIBLE as exc:
+            self.stats.infeasible += 1
+            if not self.reference:
+                with self._lock:
+                    self._cache[key] = (ir, ("fail", exc))
+            self._log_candidate(
+                plan,
+                "screened" if screened else "infeasible",
+                reason=str(exc),
+                degraded=degraded,
+            )
+            raise
+        except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
+            # Unexpected (injected or real) fault: still one request, so
+            # still one candidate event; the resilience machinery decides
+            # what happens to the candidate next.
+            self._log_candidate(
+                plan,
+                "error",
+                reason=f"{type(exc).__name__}: {exc}",
+                degraded=degraded,
+            )
+            raise
+        if not self.reference:
+            with self._lock:
+                self._cache[key] = (ir, ("ok", result))
+        self._log_candidate(plan, "simulated", result=result, degraded=degraded)
+        return result
 
     def _key(self, ir: ProgramIR, plan: KernelPlan) -> tuple:
         # The device profile is part of the content address: the same
@@ -527,15 +760,6 @@ class PlanEvaluator:
         # (profiles are frozen, hashable value objects — two specs that
         # merely share a name still produce distinct keys).
         return (id(ir), self.device, plan_family_key(plan), plan.max_registers)
-
-    def evaluate(self, ir: ProgramIR, plan: KernelPlan) -> SimulationResult:
-        """Validate + simulate one plan, memoized.
-
-        Raises :class:`PlanInfeasible` / :class:`InvalidPlan` exactly as
-        the direct ``validate_plan`` + ``simulate`` path would.
-        """
-        with self._timed():
-            return self._evaluate(ir, plan)
 
     def _in_degraded_mode(self) -> bool:
         return getattr(self._degraded, "value", False)
@@ -561,564 +785,8 @@ class PlanEvaluator:
             device=self.device.name,
         )
 
-    def _evaluate(
-        self,
-        ir: ProgramIR,
-        plan: KernelPlan,
-        rejection_fn=None,
-        produce_fn=None,
-    ) -> SimulationResult:
-        """One request through the engine, scalar or family-priced.
-
-        Without hooks this is the scalar path: validate, prescreen,
-        simulate.  The family-pricing path injects two hooks carrying a
-        pre-priced lane — ``rejection_fn(plan) -> (code, message) |
-        None`` replaces the prescreen (the lane already knows its
-        occupancy verdict; it may also *raise* an INFEASIBLE directly to
-        replay a validation failure) and ``produce_fn(plan)`` replaces
-        the ``simulate`` call.  Everything observable — request/hit/
-        miss/screen/infeasible accounting, memoization, candidate
-        telemetry, fault injection — is identical in both modes, and
-        degraded mode always drops the hooks and re-runs the scalar
-        conservative path.
-        """
-        self.stats.requests += 1
-        degraded = self._in_degraded_mode()
-        if degraded:
-            rejection_fn = None
-            produce_fn = None
-        key = self._key(ir, plan)
-        if self.memoize and not degraded:
-            with self._lock:
-                hit = self._cache.get(key)
-            if hit is not None and hit[0] is ir:
-                self.stats.hits += 1
-                status, value = hit[1]
-                if status == "ok":
-                    self._log_candidate(plan, "cache-hit", result=value)
-                    return value
-                self.stats.infeasible += 1
-                self._log_candidate(
-                    plan, "cache-hit-infeasible", reason=str(value)
-                )
-                raise value
-        self.stats.misses += 1
-        screened = False
-        try:
-            # Legality prescreen: structural lint rules, the RL3xx
-            # transformation certifier (dependence-distance refutations
-            # of fusion/time-tile/streaming/retiming), and the cheap
-            # register-dependent occupancy suffix — candidates the
-            # device cannot run (or whose transformations are provably
-            # illegal) are rejected without paying for the counter and
-            # timing models, and every rejection carries a stable
-            # ``RLxxx`` rule code.
-            rejection = None
-            witness = None
-            if rejection_fn is not None:
-                rejection = rejection_fn(plan)
-            else:
-                if self.validate:
-                    validate_plan(ir, plan)
-                if self.prescreen and not degraded:
-                    diag = plan_rejection(
-                        ir, plan, self.device, assume_validated=True
-                    )
-                    if diag is not None:
-                        rejection = (diag.code, diag.message)
-                        # RL3xx refutations carry a counterexample
-                        # (grid point + event pair); thread it into the
-                        # exception context so batch telemetry can show
-                        # *why* the plan is illegal, not just the code.
-                        witness = diag.witness
-            if rejection is not None:
-                code, message = rejection
-                self.stats.screened += 1
-                self.stats.lint_rejections += 1
-                screened = True
-                raise PlanInfeasible(
-                    f"[{code}] {message}",
-                    rule=code,
-                    witness=(
-                        witness.describe() if witness is not None else None
-                    ),
-                )
-            if self.fault_injector is not None:
-                self.fault_injector.invoke(
-                    plan_fingerprint(plan), degraded=degraded
-                )
-            if produce_fn is not None:
-                result = produce_fn(plan)
-            else:
-                result = simulate(ir, plan, self.device)
-        except INFEASIBLE as exc:
-            self.stats.infeasible += 1
-            if self.memoize:
-                with self._lock:
-                    self._cache[key] = (ir, ("fail", exc))
-            self._log_candidate(
-                plan,
-                "screened" if screened else "infeasible",
-                reason=str(exc),
-                degraded=degraded,
-            )
-            raise
-        except Exception as exc:  # noqa: BLE001 — telemetry, then re-raise
-            # Unexpected (injected or real) fault: still one request, so
-            # still one candidate event; the resilience machinery decides
-            # what happens to the candidate next.
-            self._log_candidate(
-                plan,
-                "error",
-                reason=f"{type(exc).__name__}: {exc}",
-                degraded=degraded,
-            )
-            raise
-        if self.memoize:
-            with self._lock:
-                self._cache[key] = (ir, ("ok", result))
-        self._log_candidate(plan, "simulated", result=result, degraded=degraded)
-        return result
-
-    def try_evaluate(
-        self,
-        ir: ProgramIR,
-        plan: KernelPlan,
-        catch: tuple = INFEASIBLE,
-    ) -> Optional[SimulationResult]:
-        """Like :meth:`evaluate` but returns None for infeasible plans."""
-        try:
-            return self.evaluate(ir, plan)
-        except catch:
-            return None
-
-    # -- register escalation ---------------------------------------------------
-
-    def register_demand(self, ir: ProgramIR, plan: KernelPlan) -> int:
-        """Uncapped register demand of a plan (register-independent)."""
-        return plan_prefix(ir, plan).reg_demand
-
-    def evaluate_spill_free(
-        self,
-        ir: ProgramIR,
-        plan: KernelPlan,
-        levels: Sequence[int] = REGISTER_LEVELS,
-    ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
-        """The paper's dynamic register-increment ladder, incrementally.
-
-        Returns the first (plan, result) along the escalation levels that
-        does not spill, or None when the plan is infeasible or spills
-        even at the top level.  In ``incremental`` mode the register-
-        independent prefix supplies the demand up front, so the spilling
-        rungs below the first feasible level are skipped entirely — the
-        chosen plan and its simulated result are identical to walking
-        the full ladder.
-        """
-        with self._timed():
-            return self._evaluate_spill_free(ir, plan, tuple(levels))
-
-    def _evaluate_spill_free(
-        self, ir: ProgramIR, plan: KernelPlan, levels: Tuple[int, ...]
-    ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
-        if self.escalation == "ladder":
-            for level in levels:
-                candidate = plan.replace(max_registers=level)
-                result = self.try_evaluate(ir, candidate)
-                if result is None:
-                    return None
-                if not result.counters.has_spills:
-                    return candidate, result
-            return None
-        # Incremental: demand is register-independent, so the first
-        # non-spilling rung is known without simulating the others.
-        try:
-            if self.validate:
-                validate_plan(ir, plan)
-            demand = self.register_demand(ir, plan)
-        except INFEASIBLE as exc:
-            if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=f"infeasible: {exc}",
-                )
-            return None
-        level = next((lv for lv in levels if demand <= lv), None)
-        if level is None:
-            # Spills even at the top level: every rung would have
-            # spilled; the seed ladder discarded the candidate too.
-            self.stats.rungs_skipped += len(levels)
-            if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=(
-                        f"spills at every register level "
-                        f"(demand {demand} > {levels[-1]})"
-                    ),
-                )
-            return None
-        position = levels.index(level)
-        self.stats.rungs_skipped += position
-        candidate = plan.replace(max_registers=level)
-        result = self.try_evaluate(ir, candidate)
-        if result is None:
-            return None
-        return candidate, result
-
-    # -- batch evaluation ------------------------------------------------------
-
-    def evaluate_batch(
-        self,
-        ir: ProgramIR,
-        plans: Iterable[KernelPlan],
-        catch: tuple = INFEASIBLE,
-        on_result=None,
-    ) -> List[Optional[SimulationResult]]:
-        """Evaluate many plans, results in input order (None = infeasible).
-
-        Structural groups large enough for the vectorized backend are
-        priced whole-axis in one NumPy pass; small groups (and any group
-        the vector path cannot handle) run the scalar route — results
-        are bit-for-bit identical either way.
-        """
-        plans = list(plans)
-        jobs = None
-        if self._vector_eligible(len(plans)):
-            jobs = self._family_jobs(
-                ir, plans, spill_free=False, catch=catch
-            )
-        if jobs is None:
-            jobs = [
-                (p, lambda p=p: self.try_evaluate(ir, p, catch=catch))
-                for p in plans
-            ]
-        return self._run_batch(jobs, on_result=on_result)
-
-    def evaluate_spill_free_batch(
-        self,
-        ir: ProgramIR,
-        plans: Iterable[KernelPlan],
-        levels: Sequence[int] = REGISTER_LEVELS,
-        on_result=None,
-    ) -> List[Optional[Tuple[KernelPlan, SimulationResult]]]:
-        """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
-        plans = list(plans)
-        levels = tuple(levels)
-        jobs = None
-        if self._vector_eligible(len(plans)) and self.escalation == "incremental":
-            jobs = self._family_jobs(
-                ir, plans, spill_free=True, levels=levels
-            )
-        if jobs is None:
-            jobs = [
-                (p, lambda p=p: self.evaluate_spill_free(ir, p, levels=levels))
-                for p in plans
-            ]
-        return self._run_batch(jobs, on_result=on_result)
-
-    # -- vectorized family pricing ---------------------------------------------
-
-    def _vector_eligible(self, count: int) -> bool:
-        return (
-            self.vectorize
-            and count >= MIN_FAMILY
-            and _pricing_module() is not None
-        )
-
-    def _family_jobs(
-        self,
-        ir: ProgramIR,
-        plans: List[KernelPlan],
-        spill_free: bool,
-        levels: Tuple[int, ...] = REGISTER_LEVELS,
-        catch: tuple = INFEASIBLE,
-    ) -> Optional[List[tuple]]:
-        """Build input-ordered ``(plan, thunk)`` jobs with family pricing.
-
-        Plans are grouped by structural key; groups of ``MIN_FAMILY`` or
-        more are priced in one vectorized pass (eagerly, on the
-        submitting thread, under the engine timer) and their thunks
-        merely *finalize* the pre-priced lane through the normal
-        accounting.  Small groups — and any group whose vector pricing
-        fails for an unexpected reason — keep scalar thunks.  Returns
-        None when grouping itself fails, meaning "use the scalar batch".
-        """
-        with self._timed():
-            try:
-                groups: Dict[tuple, List[int]] = {}
-                for index, plan in enumerate(plans):
-                    groups.setdefault(
-                        plan_structural_key(plan), []
-                    ).append(index)
-            except Exception:  # noqa: BLE001 — odd plan: scalar batch
-                return None
-            jobs: List[Optional[tuple]] = [None] * len(plans)
-            for indexes in groups.values():
-                members = [plans[i] for i in indexes]
-                thunks = None
-                if len(indexes) >= MIN_FAMILY:
-                    try:
-                        if spill_free:
-                            thunks = self._price_spill_free_group(
-                                ir, members, levels
-                            )
-                        else:
-                            thunks = self._price_group(ir, members, catch)
-                    except Exception:  # noqa: BLE001 — fall back to scalar
-                        _obs_count("pricing.scalar_fallbacks")
-                        thunks = None
-                if thunks is None:
-                    if spill_free:
-                        thunks = [
-                            (
-                                lambda p=p: self.evaluate_spill_free(
-                                    ir, p, levels=levels
-                                )
-                            )
-                            for p in members
-                        ]
-                    else:
-                        thunks = [
-                            (lambda p=p: self.try_evaluate(ir, p, catch=catch))
-                            for p in members
-                        ]
-                for i, thunk in zip(indexes, thunks):
-                    jobs[i] = (plans[i], thunk)
-            return jobs  # type: ignore[return-value]
-
-    def _price_spill_free_group(
-        self, ir: ProgramIR, group: List[KernelPlan], levels: Tuple[int, ...]
-    ) -> List:
-        """Finalize-thunks for one structural family, spill-free mode.
-
-        Mirrors :meth:`_evaluate_spill_free` lane by lane: validation
-        failures and all-level spills prune without a request;
-        everything else resolves to the first non-spilling rung and
-        finalizes the pre-priced lane through :meth:`_evaluate`.
-        """
-        pricing = _pricing_module()
-        proto = group[0]
-        if self.validate:
-            try:
-                validate_plan(ir, proto)
-            except INFEASIBLE as exc:
-                reason = f"infeasible: {exc}"
-                return [
-                    (lambda p=p: self._prune_job(p, reason))
-                    for p in group
-                ]
-        structure = pricing.family_structure(ir, proto)
-        fusion = fusion_rejection(ir, proto) if self.prescreen else None
-        if fusion is None:
-            # One-shot: demand, rung resolution, and pricing share a
-            # single pass over the family's lane arrays.  A lane the
-            # memo already holds is priced wastefully, but misses
-            # dominate searches so overwhelmingly that one fused pass
-            # beats a demand pass plus a memo-filtered pricing pass.
-            demands, positions, lanes = structure.price_spill_free(
-                group, levels, self.device
-            )
-        else:
-            # Fusion-rejected families never reach the occupancy screen
-            # or the model, so pricing their lanes would be pure waste;
-            # rung resolution still needs the demand vector.
-            demands = structure.demand(group)
-            positions = lanes = None
-        thunks: List = []
-        for i, plan in enumerate(group):
-            demand = int(demands[i])
-            if positions is not None:
-                position = int(positions[i])
-            else:
-                level = next((lv for lv in levels if demand <= lv), None)
-                position = -1 if level is None else levels.index(level)
-            if position < 0:
-                reason = (
-                    f"spills at every register level "
-                    f"(demand {demand} > {levels[-1]})"
-                )
-                thunks.append(
-                    lambda p=plan, r=reason: self._all_spill_job(
-                        p, r, len(levels)
-                    )
-                )
-                continue
-            candidate = plan.replace(max_registers=levels[position])
-            lane = lanes[i] if lanes is not None else None
-            thunks.append(
-                lambda c=candidate, l=lane, pos=position: (
-                    self._spill_free_finalize(ir, c, l, pos, fusion)
-                )
-            )
-        return thunks
-
-    def _price_group(
-        self, ir: ProgramIR, group: List[KernelPlan], catch: tuple
-    ) -> List:
-        """Finalize-thunks for one structural family, plain-batch mode.
-
-        Mirrors ``try_evaluate``: a validation failure replays as an
-        in-request infeasibility (request + miss + memoized exception),
-        exactly as the scalar ``_evaluate`` raises it.
-        """
-        pricing = _pricing_module()
-        proto = group[0]
-        invalid: Optional[BaseException] = None
-        if self.validate:
-            try:
-                validate_plan(ir, proto)
-            except INFEASIBLE as exc:
-                invalid = exc
-        if invalid is not None:
-            def reject(plan, exc=invalid):
-                raise exc
-
-            return [
-                (
-                    lambda p=p: self._finalize(
-                        ir, p, None, None, catch, rejection_fn=reject
-                    )
-                )
-                for p in group
-            ]
-        structure = pricing.family_structure(ir, proto)
-        fusion = fusion_rejection(ir, proto) if self.prescreen else None
-        need_pricing = fusion is None
-        to_price: Dict[tuple, KernelPlan] = {}
-        keys = []
-        for plan in group:
-            key = self._key(ir, plan)
-            keys.append(key)
-            if need_pricing and not self._memo_has(ir, key):
-                to_price.setdefault(key, plan)
-        lane_by_key = self._price_lanes(structure, to_price)
-        return [
-            (
-                lambda p=p, l=lane_by_key.get(k): self._finalize(
-                    ir, p, l, fusion, catch
-                )
-            )
-            for p, k in zip(group, keys)
-        ]
-
-    def _price_lanes(self, structure, to_price: Dict[tuple, KernelPlan]):
-        """One vectorized pricing pass over the not-yet-memoized lanes."""
-        if not to_price:
-            return {}
-        keys = list(to_price)
-        lanes = structure.price([to_price[k] for k in keys], self.device)
-        return dict(zip(keys, lanes))
-
-    def _memo_has(self, ir: ProgramIR, key: tuple) -> bool:
-        if not self.memoize:
-            return False
-        with self._lock:
-            hit = self._cache.get(key)
-        return hit is not None and hit[0] is ir
-
-    def _prune_job(self, plan: KernelPlan, reason: str) -> None:
-        with self._timed():
-            if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=reason,
-                )
-            return None
-
-    def _all_spill_job(
-        self, plan: KernelPlan, reason: str, rungs: int
-    ) -> None:
-        with self._timed():
-            self.stats.rungs_skipped += rungs
-            if self.search_log is not None:
-                self.search_log.prune(
-                    plan,
-                    family=plan_fingerprint(plan, include_registers=False),
-                    reason=reason,
-                )
-            return None
-
-    def _spill_free_finalize(
-        self, ir: ProgramIR, candidate: KernelPlan, lane, position: int, fusion
-    ) -> Optional[Tuple[KernelPlan, SimulationResult]]:
-        with self._timed():
-            self.stats.rungs_skipped += position
-            result = self._finalize(ir, candidate, lane, fusion, INFEASIBLE)
-            if result is None:
-                return None
-            return candidate, result
-
-    def _finalize(
-        self,
-        ir: ProgramIR,
-        plan: KernelPlan,
-        lane,
-        fusion,
-        catch: tuple,
-        rejection_fn=None,
-    ) -> Optional[SimulationResult]:
-        """Resolve one pre-priced lane through the normal request path."""
-        with self._timed():
-            if rejection_fn is None:
-                rejection_fn, produce_fn = self._lane_fns(ir, lane, fusion)
-            else:
-                produce_fn = None
-            try:
-                return self._evaluate(
-                    ir,
-                    plan,
-                    rejection_fn=rejection_fn,
-                    produce_fn=produce_fn,
-                )
-            except catch:
-                return None
-
-    def _lane_fns(self, ir: ProgramIR, lane, fusion):
-        """The two ``_evaluate`` hooks for one pre-priced lane.
-
-        ``lane`` may be None when the memo pre-check expected a cache
-        hit (or the family was fusion-rejected before pricing); the
-        produce hook then falls back to a scalar ``simulate`` so a
-        cache race or memoize=False still yields a correct result.
-        """
-
-        def rejection_fn(plan):
-            if not self.prescreen:
-                return None
-            if fusion is not None:
-                _count_rejection(fusion.code)
-                return (fusion.code, fusion.message)
-            if lane is not None and lane.occ_message is not None:
-                self._count_occupancy_screen(lane.occ_code)
-                return (lane.occ_code, lane.occ_message)
-            return None
-
-        def produce_fn(plan):
-            if lane is None:
-                return simulate(ir, plan, self.device)
-            if lane.occ_message is not None:
-                # Prescreen disabled: surface the occupancy failure
-                # exactly as ``simulate``'s plan_occupancy step would.
-                self._count_occupancy_screen(lane.occ_code)
-                raise PlanInfeasible(lane.occ_message, **lane.occ_context)
-            self.stats.vectorized += 1
-            return lane.result
-
-        return rejection_fn, produce_fn
-
-    @staticmethod
-    def _count_occupancy_screen(code: Optional[str]) -> None:
-        """Mirror ``plan_occupancy``'s rejection counters for a lane."""
-        from ..obs import counter, metrics_enabled
-
-        if metrics_enabled():
-            counter("simulate.prescreen_rejections").add()
-            counter(f"lint.reject.{code}").add()
-
-    def _run_batch(self, jobs, on_result=None) -> List:
-        """Run ``(plan, thunk)`` jobs, input-ordered, under the guard.
+    def _run_batch(self, plans, jobs, on_result=None) -> List:
+        """Run one job per plan, input-ordered, under the guard.
 
         Every job runs inside :meth:`_guarded`, which enforces the
         per-evaluation timeout, the retry policy and the ``on_error``
@@ -1133,8 +801,8 @@ class PlanEvaluator:
         """
         with _span("eval.batch", candidates=len(jobs)):
             return [
-                self._guarded(plan, thunk, index, on_result)
-                for index, (plan, thunk) in enumerate(jobs)
+                self._guarded(plan, job, index, on_result)
+                for index, (plan, job) in enumerate(zip(plans, jobs))
             ]
 
     # -- fault tolerance -------------------------------------------------------
@@ -1300,7 +968,3 @@ class PlanEvaluator:
     def cache_size(self) -> int:
         with self._lock:
             return len(self._cache)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._cache.clear()

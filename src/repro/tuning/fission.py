@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from ..dsl.ast import ArrayAccess, array_accesses, scalar_names
 from ..ir.analysis import access_patterns, stencil_order
-from ..ir.dag import statement_dag, statements_for_output
+from ..ir.dag import statements_for_output
 from ..ir.stencil import ProgramIR, Statement, StencilInstance
 from .fusion import maxfuse
 

@@ -57,7 +57,7 @@ from ..resilience.checkpoint import (
     plan_to_dict,
 )
 from .evaluator import EvalStats, Measurement, PlanEvaluator, plan_fingerprint
-from .space import SearchSpace, prune_overtiled, seed_variants
+from .space import SearchSpace, seed_variants
 
 __all__ = [
     "HierarchicalTuner",
@@ -120,7 +120,6 @@ class HierarchicalTuner:
         keep_trace: bool = False,
         evaluator: Optional[PlanEvaluator] = None,
         journal: Optional[TuningJournal] = None,
-        lint_prune: bool = False,
     ):
         self.ir = ir
         self.evaluator = evaluator or PlanEvaluator(device=device)
@@ -131,14 +130,6 @@ class HierarchicalTuner:
         self.top_k = top_k
         self.hierarchy = hierarchy
         self.keep_trace = keep_trace
-        #: opt-in lint-guided pruning (rule RL205): drop overtiled
-        #: stage-1 candidates before measuring.  Off by default — the
-        #: analytical model prices overtiled plans as first-class
-        #: citizens (unroll beyond the domain extent still changes the
-        #: instruction mix), so pruning can change the winner; enable
-        #: it only when saved simulations matter more than exhaustive
-        #: fidelity to the model.
-        self.lint_prune = lint_prune
         #: checkpoint journal: measured candidates are appended as they
         #: complete, and journaled outcomes replay instead of
         #: re-evaluating (see ``repro.resilience.checkpoint``).
@@ -376,10 +367,6 @@ class HierarchicalTuner:
                 device=self.device,
             )
             candidates = self._stage1_candidates(base, space)
-            if self.lint_prune:
-                candidates = prune_overtiled(
-                    self.ir, candidates, search_log=self._slog
-                )
             results = [
                 m for m in self._measure_batch(candidates) if m is not None
             ]

@@ -126,50 +126,3 @@ def seed_variants(
     for block in space.block_candidates():
         for unroll in space.unroll_candidates():
             yield plan.replace(block=block, unroll=unroll)
-
-
-def prune_overtiled(
-    ir, candidates: Sequence[KernelPlan], search_log=None
-) -> List[KernelPlan]:
-    """Drop candidates whose tile exceeds the domain (lint rule RL205).
-
-    A block tile (threads x unroll) larger than the domain extent along
-    any axis leaves part of every block permanently idle.  On hardware
-    such plans are wasteful; in the analytical model they are still
-    priced as first-class citizens (unroll past the domain extent keeps
-    changing the instruction mix), so pruning them trades model
-    fidelity for saved simulations — which is why the tuners expose it
-    as an opt-in (``HierarchicalTuner(lint_prune=True)``) rather than a
-    default.
-
-    If *every* candidate is overtiled (tiny test domains), the list is
-    returned unpruned: the tuner must still measure something.
-    """
-    try:
-        domain = ir.domain_shape()
-    except ValueError:
-        return list(candidates)
-
-    def overtiled(plan: KernelPlan) -> bool:
-        return any(
-            plan.tile_extent(axis, ir.ndim) > domain[axis]
-            for axis in plan.tiled_axes(ir.ndim)
-        )
-
-    kept = [plan for plan in candidates if not overtiled(plan)]
-    if not kept:
-        return list(candidates)
-    dropped = len(candidates) - len(kept)
-    if dropped:
-        from ..obs import counter, metrics_enabled
-
-        if metrics_enabled():
-            counter("lint.prune.overtile").add(dropped)
-        if search_log is not None:
-            search_log.emit(
-                "prune",
-                reason="lint.RL205",
-                dropped=dropped,
-                kept=len(kept),
-            )
-    return kept

@@ -20,6 +20,7 @@ import pytest
 
 from repro import suite
 from repro.gpu.device import device_names, get_device
+from repro.gpu.pricing import scalar_pricing
 from repro.obs.search import SearchLog
 from repro.pipeline import optimize
 from repro.resilience import TuningJournal
@@ -90,8 +91,9 @@ class TestOptimizeParity:
 
     def test_scalar_pricing_matches_vectorized(self, reference):
         ir, expected, requests = reference
-        engine = PlanEvaluator(vectorize=False)
-        outcome = optimize(ir, evaluator=engine)
+        engine = PlanEvaluator()
+        with scalar_pricing():
+            outcome = optimize(ir, evaluator=engine)
         assert _outcome_view(outcome) == expected
         assert engine.stats.requests == requests
 

@@ -1,7 +1,5 @@
 """Tests for dependence DAG construction."""
 
-import networkx as nx
-
 from repro.dsl import parse
 from repro.ir import (
     build_ir,
@@ -11,6 +9,7 @@ from repro.ir import (
     statement_dag,
     statements_for_output,
 )
+from repro.ir.dag import DiGraph
 
 
 class TestKernelDag:
@@ -62,7 +61,9 @@ class TestKernelDag:
         assert graph.edges["cp.0", "cp.1"]["kind"] == "WAR"
 
     def test_is_dag(self, pipeline_ir):
-        assert nx.is_directed_acyclic_graph(kernel_dag(pipeline_ir))
+        graph = kernel_dag(pipeline_ir)
+        assert graph.is_acyclic()
+        assert graph.find_cycle() is None
 
     def test_pipeline_detection(self, pipeline_ir):
         assert is_pipeline(pipeline_ir)
@@ -118,3 +119,47 @@ class TestBackwardSlice:
     def test_slice_is_sorted(self, sw4_ir):
         indices = statements_for_output(sw4_ir.kernels[0], "uacc1")
         assert list(indices) == sorted(indices)
+
+
+class TestDiGraph:
+    def _graph(self, *edges):
+        graph = DiGraph()
+        for u, v in edges:
+            graph.add_edge(u, v, label=f"{u}{v}")
+        return graph
+
+    def test_edge_views(self):
+        graph = self._graph(("a", "b"), ("b", "c"))
+        graph.add_edge("a", "b", kind="RAW")  # updates, never duplicates
+        assert graph.nodes == ["a", "b", "c"]
+        assert graph.number_of_edges() == 2
+        assert graph.edges["a", "b"] == {"label": "ab", "kind": "RAW"}
+        assert list(graph.edges) == [("a", "b"), ("b", "c")]
+        assert list(graph.edges(data=True))[1] == ("b", "c", {"label": "bc"})
+        assert list(graph.predecessors("c")) == ["b"]
+        assert not graph.has_edge("b", "a")
+
+    def test_has_path(self):
+        graph = self._graph(("a", "b"), ("b", "c"))
+        graph.add_node("d")
+        assert graph.has_path("a", "c")
+        assert graph.has_path("a", "a")
+        assert not graph.has_path("c", "a")
+        assert not graph.has_path("a", "d")
+
+    def test_find_cycle_is_deterministic(self):
+        # The search enters at the first node in insertion order, takes
+        # successors in insertion order, and reports the first cycle
+        # from the node it re-entered (c -> a is met before c -> x).
+        graph = self._graph(
+            ("x", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "x")
+        )
+        assert graph.find_cycle() == [("a", "b"), ("b", "c"), ("c", "a")]
+        assert not graph.is_acyclic()
+        graph = self._graph(("p", "q"), ("q", "r"), ("r", "q"))
+        assert graph.find_cycle() == [("q", "r"), ("r", "q")]
+
+    def test_acyclic_graph_has_no_cycle(self):
+        graph = self._graph(("a", "b"), ("a", "c"), ("b", "c"))
+        assert graph.find_cycle() is None
+        assert graph.is_acyclic()

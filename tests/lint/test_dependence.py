@@ -7,9 +7,6 @@ adversarial coverage — plus agreement with the fusion DAG
 (:func:`repro.ir.dag.kernel_dag`), which the engine's sweep mirrors.
 """
 
-import networkx as nx
-import pytest
-
 from repro.dsl import parse
 from repro.ir import build_ir
 from repro.ir.dag import kernel_dag
@@ -149,7 +146,7 @@ class TestGraphs:
     def test_edge_data_carries_edges(self):
         ir = ir_of(PRODUCER_CONSUMER)
         graph = dependence_graph(ir)
-        edges = graph["produce.0"]["consume.0"]["edges"]
+        edges = graph.edges["produce.0", "consume.0"]["edges"]
         assert all(e.source == "produce.0" for e in edges)
         assert any(e.kind == FLOW for e in edges)
 
@@ -216,8 +213,7 @@ class TestArrayFlowGraph:
             """
         )
         graph = array_flow_graph(ir)
-        with pytest.raises(nx.NetworkXNoCycle):
-            nx.find_cycle(graph)
+        assert graph.find_cycle() is None
 
     def test_shared_writer_read_edge_is_kept(self):
         # RL104 regression: k1 reads X and writes {X, Y}; k2 reads Y and
@@ -238,7 +234,7 @@ class TestArrayFlowGraph:
             """
         )
         graph = array_flow_graph(ir)
-        cycle = nx.find_cycle(graph)
+        cycle = graph.find_cycle()
         nodes = {edge[0] for edge in cycle}
         assert nodes == {"X", "Y"}
 

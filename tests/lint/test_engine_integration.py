@@ -1,10 +1,9 @@
 """Lint rules wired into the evaluation engine, tuners and metrics.
 
-The PlanEvaluator consults ``plan_rejection`` before pricing a
-candidate: every screened rejection carries a stable RLxxx code (in the
-exception message, the ``rule`` field and the ``lint.reject.*``
-counters), and ``EvalStats.lint_rejections`` tracks ``screened``
-exactly.  Overtile pruning (RL205) is a separate, opt-in tuner knob.
+The PlanEvaluator screens each candidate before pricing it: every
+screened rejection carries a stable RLxxx code (in the exception
+message, the ``rule`` field and the ``lint.reject.*`` counters), and
+``EvalStats.lint_rejections`` tracks ``screened`` exactly.
 """
 
 import pytest
@@ -13,8 +12,7 @@ from repro.codegen.plan import KernelPlan
 from repro.gpu.device import P100
 from repro.gpu.simulator import PlanInfeasible
 from repro.obs import configure_metrics, get_metrics
-from repro.tuning import HierarchicalTuner, PlanEvaluator
-from repro.tuning.space import prune_overtiled
+from repro.tuning import PlanEvaluator
 
 
 def kernel_of(ir):
@@ -61,7 +59,7 @@ class TestEvaluatorPrescreen:
     def test_prescreen_off_still_rejects_via_model(self, smoother_ir):
         # With the prescreen disabled the occupancy arithmetic itself
         # refuses the plan — same outcome, no rule counter.
-        engine = PlanEvaluator(device=P100, prescreen=False)
+        engine = PlanEvaluator.seed_mode(device=P100)
         doomed = KernelPlan((kernel_of(smoother_ir),), block=(64, 64))
         with pytest.raises(PlanInfeasible):
             engine.evaluate(smoother_ir, doomed)
@@ -80,45 +78,6 @@ class TestEvaluatorPrescreen:
             assert snap["lint.reject.RL202"]["value"] == 1
         finally:
             configure_metrics(False, reset=True)
-
-
-class TestPruneOvertiled:
-    def _plans(self, ir):
-        kernel = kernel_of(ir)
-        fits = KernelPlan(
-            (kernel,), block=(4, 128), streaming="serial", stream_axis=0
-        )
-        overtiled = fits.replace(unroll=(1, 1, 8))  # 1024-point tile on 512
-        return fits, overtiled
-
-    def test_drops_overtiled_keeps_fitting(self, smoother_ir):
-        fits, overtiled = self._plans(smoother_ir)
-        kept = prune_overtiled(smoother_ir, [fits, overtiled])
-        assert kept == [fits]
-
-    def test_all_overtiled_falls_back_unpruned(self, smoother_ir):
-        _, overtiled = self._plans(smoother_ir)
-        kept = prune_overtiled(smoother_ir, [overtiled])
-        assert kept == [overtiled]
-
-    def test_prune_emits_counter(self, smoother_ir):
-        fits, overtiled = self._plans(smoother_ir)
-        configure_metrics(True, reset=True)
-        try:
-            prune_overtiled(smoother_ir, [fits, overtiled])
-            snap = get_metrics().snapshot()
-            assert snap["lint.prune.overtile"]["value"] == 1
-        finally:
-            configure_metrics(False, reset=True)
-
-    def test_tuner_exposes_opt_in_knob(self, smoother_ir):
-        # Off by default: pruning trades model fidelity (the analytical
-        # model prices overtiled plans as first-class, and they can win)
-        # for saved simulations, so it must be explicit.
-        assert HierarchicalTuner(smoother_ir).lint_prune is False
-        assert (
-            HierarchicalTuner(smoother_ir, lint_prune=True).lint_prune is True
-        )
 
 
 class TestSimulatorRouting:

@@ -509,7 +509,7 @@ class TestSingleProcessSurface:
         text = capsys.readouterr().out
         for flag in (
             "--workers", "--executor", "--distributed", "--distrib-dir",
-            "--lease-ttl",
+            "--lease-ttl", "--pricing",
         ):
             assert flag not in text
 
@@ -521,6 +521,7 @@ class TestSingleProcessSurface:
             ("--distributed", "2"),
             ("--distrib-dir", "runs"),
             ("--lease-ttl", "1.0"),
+            ("--pricing", "scalar"),
         ],
     )
     @pytest.mark.parametrize("command", ["optimize", "deep-tune"])
@@ -529,7 +530,10 @@ class TestSingleProcessSurface:
             build_parser().parse_args([command, "7pt-smoother", flag, value])
         assert exc.value.code == 2
 
-    def test_bench_has_no_executor_flag(self):
+    @pytest.mark.parametrize(
+        "flag, value", [("--executor", "thread"), ("--pricing", "scalar")]
+    )
+    def test_bench_has_no_executor_flag(self, flag, value):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["bench", "--executor", "thread"])
+            build_parser().parse_args(["bench", flag, value])
         assert exc.value.code == 2

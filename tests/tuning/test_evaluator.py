@@ -62,7 +62,7 @@ class TestIdentityProperty:
         plans = sampled_plans(smoother_ir, kernel, 30, seed=13)
         warm = [evaluator.try_evaluate(smoother_ir, p) for p in plans]
         with evaluation_caches_disabled():
-            cold_eval = PlanEvaluator(memoize=False)
+            cold_eval = PlanEvaluator.seed_mode()
             cold = [cold_eval.try_evaluate(smoother_ir, p) for p in plans]
         for cached, fresh in zip(warm, cold):
             assert (cached is None) == (fresh is None)
@@ -91,7 +91,7 @@ class TestMemoization:
         assert evaluator.stats.infeasible == 2
 
     def test_memoize_off_always_simulates(self, smoother_ir, base_plan):
-        evaluator = PlanEvaluator(memoize=False)
+        evaluator = PlanEvaluator.seed_mode()
         evaluator.evaluate(smoother_ir, base_plan)
         evaluator.evaluate(smoother_ir, base_plan)
         assert evaluator.stats.hits == 0
@@ -160,8 +160,8 @@ class TestEscalation:
             p.replace(max_registers=REGISTER_LEVELS[-1])
             for p in sampled_plans(smoother_ir, kernel, 40, seed=29)
         ]
-        fast = PlanEvaluator(escalation="incremental")
-        slow = PlanEvaluator(escalation="ladder")
+        fast = PlanEvaluator()
+        slow = PlanEvaluator.seed_mode()
         for plan in plans:
             a = fast.evaluate_spill_free(smoother_ir, plan)
             b = slow.evaluate_spill_free(smoother_ir, plan)
@@ -188,7 +188,7 @@ class TestEscalation:
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            PlanEvaluator(escalation="bogus")
+            PlanEvaluator(on_error="bogus")
 
 
 class TestFingerprint:
@@ -259,15 +259,15 @@ class TestTimingAccounting:
     """
 
     def _patch_sleepy_simulate(self, monkeypatch, delay):
-        import repro.tuning.evaluator as evaluator_module
+        import repro.gpu.pricing as pricing_module
 
-        real = evaluator_module.simulate
+        real = pricing_module.simulate
 
         def sleepy(ir, plan, device, **kwargs):
             time.sleep(delay)
             return real(ir, plan, device, **kwargs)
 
-        monkeypatch.setattr(evaluator_module, "simulate", sleepy)
+        monkeypatch.setattr(pricing_module, "simulate", sleepy)
 
     def test_serial_wall_matches_cpu(self, smoother_ir, base_plan, monkeypatch):
         delay = 0.01

@@ -5,12 +5,23 @@ observable of a tuning run must be invariant to it: the winner (bitwise),
 the EvalStats accounting (requests, hits, misses, screened,
 ``lint_rejections == screened``), and the failure bookkeeping under
 injected chaos.  These tests run the full hierarchical tuner through paired
-engines and compare everything.
+engines — one under :func:`repro.gpu.pricing.scalar_pricing` — and
+compare everything.
 """
+
+import contextlib
+from collections import Counter
 
 import pytest
 
+from repro.codegen.plan import KernelPlan
+from repro.codegen.tiling import plan_structural_key
+from repro.dsl import parse
+from repro.gpu import pricing
+from repro.gpu.pricing import MIN_FAMILY, FamilyStructure, scalar_pricing
 from repro.gpu.simulator import reset_simulate_calls, simulate_call_count
+from repro.ir import build_ir
+from repro.obs import configure_metrics, get_metrics
 from repro.resilience import FaultInjector
 from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning.deeptuning import fusion_schedule
@@ -33,10 +44,11 @@ INVARIANT_FIELDS = (
 )
 
 
-def _tune(ir, base, **engine_kwargs):
+def _tune(ir, base, scalar=False, **engine_kwargs):
     engine = PlanEvaluator(**engine_kwargs)
     tuner = HierarchicalTuner(ir, evaluator=engine)
-    return tuner.tune(base), engine
+    with scalar_pricing() if scalar else contextlib.nullcontext():
+        return tuner.tune(base), engine
 
 
 def assert_invariant_stats(vec_engine, ref_engine):
@@ -52,9 +64,9 @@ def assert_invariant_stats(vec_engine, ref_engine):
 
 class TestVectorizedInvariance:
     def test_same_winner_and_stats(self, smoother_ir, base_plan):
-        ref, ref_engine = _tune(smoother_ir, base_plan, vectorize=False)
+        ref, ref_engine = _tune(smoother_ir, base_plan, scalar=True)
         reset_simulate_calls()
-        vec, vec_engine = _tune(smoother_ir, base_plan, vectorize=True)
+        vec, vec_engine = _tune(smoother_ir, base_plan)
         scalar_residue = reset_simulate_calls()
 
         assert vec.best.plan == ref.best.plan
@@ -76,7 +88,7 @@ class TestVectorizedInvariance:
         # A second identical tune through the same vectorized engine
         # must be served entirely from the memo cache: no new misses,
         # no new lanes, byte-identical winner.
-        engine = PlanEvaluator(vectorize=True)
+        engine = PlanEvaluator()
         first = HierarchicalTuner(smoother_ir, evaluator=engine).tune(base_plan)
         misses_after_first = engine.stats.misses
         vectorized_after_first = engine.stats.vectorized
@@ -97,19 +109,19 @@ class TestChaosInvariance:
         # fire per *candidate* (the vector path still resolves each
         # lane through _evaluate), so the quarantine/degrade accounting
         # and the surviving winner must match exactly.
-        def chaos(vectorize):
+        def chaos(scalar):
             injector = FaultInjector(rate=0.15, seed=11)
             result, engine = _tune(
                 smoother_ir,
                 base_plan,
-                vectorize=vectorize,
+                scalar=scalar,
                 fault_injector=injector,
                 on_error=on_error,
             )
             return result, engine, injector
 
-        ref, ref_engine, ref_injector = chaos(vectorize=False)
-        vec, vec_engine, vec_injector = chaos(vectorize=True)
+        ref, ref_engine, ref_injector = chaos(scalar=True)
+        vec, vec_engine, vec_injector = chaos(scalar=False)
 
         assert vec_injector.injected == ref_injector.injected
         assert vec_injector.injected > 0
@@ -121,6 +133,107 @@ class TestChaosInvariance:
         else:
             assert vec_engine.stats.degraded > 0
         assert vec_engine.stats.vectorized > 0
+
+
+PRODUCER_CONSUMER = """
+parameter N=64;
+iterator k, j, i;
+double A[N,N,N], T[N,N,N], B[N,N,N];
+copyin A;
+stencil produce (Y, X) { Y[k][j][i] = X[k][j][i+1] + X[k][j][i-1]; }
+stencil consume (Y, X) { Y[k][j][i] = X[k+1][j][i] + X[k][j][i]; }
+produce (T, A);
+consume (B, T);
+copyout B;
+"""
+
+
+def _mixed_families(base):
+    """Plans in structural groups of 1, 3, MIN_FAMILY and MIN_FAMILY + 1,
+    interleaved: one batch prices both sides of the break-even.  The
+    (64, 32) block exceeds the thread limit, so every group but the
+    singleton also carries an occupancy-screened lane."""
+    blocks = [(32, 16), (64, 32), (16, 16), (16, 8), (64, 8)]
+    families = [
+        base.replace(placements=()),
+        base,
+        base.replace(prefetch=True),
+        base.replace(placements=(), prefetch=True),
+    ]
+    groups = [
+        [family.replace(block=block) for block in blocks[:size]]
+        for family, size in zip(families, (1, 3, MIN_FAMILY, MIN_FAMILY + 1))
+    ]
+    plans = []
+    for index in range(max(len(group) for group in groups)):
+        plans.extend(group[index] for group in groups if index < len(group))
+    sizes = Counter(plan_structural_key(p) for p in plans)
+    assert sorted(sizes.values()) == [1, 3, MIN_FAMILY, MIN_FAMILY + 1]
+    return plans
+
+
+def _batch_outcome(ir, plans):
+    engine = PlanEvaluator()
+    plain = engine.evaluate_batch(ir, plans)
+    spill_free = engine.evaluate_spill_free_batch(ir, plans)
+    stats = engine.stats.as_dict()
+    del stats["wall_s"], stats["cpu_s"], stats["vectorized"]
+    return plain, spill_free, stats, engine.stats.vectorized
+
+
+class TestBreakEven:
+    def test_one_batch_spans_both_sides(self, smoother_ir, base_plan):
+        plans = _mixed_families(base_plan)
+        with scalar_pricing():
+            expected = _batch_outcome(smoother_ir, plans)
+        got = _batch_outcome(smoother_ir, plans)
+        assert got[:3] == expected[:3]
+        assert expected[3] == 0
+        # Only the two groups at or above the break-even were vectorized.
+        assert 0 < got[3] <= 2 * (2 * MIN_FAMILY + 1)
+        assert got[2]["screened"] > 0
+        assert any(result is not None for result in got[0])
+
+    @pytest.mark.parametrize("method", ["price", "price_spill_free"])
+    def test_family_pass_failure_falls_back_to_scalar(
+        self, smoother_ir, base_plan, monkeypatch, method
+    ):
+        plans = _mixed_families(base_plan)
+        with scalar_pricing():
+            expected = _batch_outcome(smoother_ir, plans)
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("family pass failed")
+
+        monkeypatch.setattr(FamilyStructure, method, broken)
+        pricing.clear_structure_cache()
+        configure_metrics(True, reset=True)
+        try:
+            got = _batch_outcome(smoother_ir, plans)
+            fallbacks = get_metrics().snapshot()["pricing.scalar_fallbacks"]
+        finally:
+            configure_metrics(False, reset=True)
+        assert got[:3] == expected[:3]
+        # Both structural groups at or above the break-even fell back.
+        assert fallbacks["value"] == 2
+
+    def test_screened_family_is_never_priced(self):
+        # Consumer fused before producer: the certifier rejects the whole
+        # family (RL301) before pricing, on both sides of the break-even.
+        ir = build_ir(parse(PRODUCER_CONSUMER))
+        blocks = [(32, 16), (32, 8), (16, 16), (16, 8), (64, 8)]
+        plans = [
+            KernelPlan(("consume.0", "produce.0"), block=block)
+            for block in blocks
+        ]
+        for family in (plans[:1], plans):
+            with scalar_pricing():
+                expected = _batch_outcome(ir, family)
+            before = pricing.priced_lane_count()
+            got = _batch_outcome(ir, family)
+            assert pricing.priced_lane_count() == before
+            assert got == expected
+            assert got[2]["screened"] == 2 * len(family)
 
 
 class TestPhaseAttribution:
