@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from .metrics import MetricsRegistry, get_metrics
@@ -178,41 +177,53 @@ def prometheus_text(
 Collect = Callable[[], Union[MetricsRegistry, Dict[str, Dict[str, Any]], str]]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """``/metrics`` + ``/healthz``; anything else is a 404."""
+def _handler_class():
+    """The ``/metrics`` request handler, built on first use.
 
-    server_version = "repro-metrics/1"
+    ``http.server`` costs ~30 ms to import and only ``--metrics-port``
+    needs it, so it is imported when a server starts, not with the CLI.
+    """
+    from http.server import BaseHTTPRequestHandler
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            try:
-                collected = self.server.collect()  # type: ignore[attr-defined]
-                body = (
-                    collected
-                    if isinstance(collected, str)
-                    else prometheus_text(collected)
-                ).encode("utf-8")
-            except Exception as exc:  # collection must never kill the run
-                self._respond(500, f"collect failed: {exc}\n".encode("utf-8"))
-                return
-            self._respond(200, body, CONTENT_TYPE)
-        elif path == "/healthz":
-            self._respond(200, b"ok\n")
-        else:
-            self._respond(404, b"not found\n")
+    class _Handler(BaseHTTPRequestHandler):
+        """``/metrics`` + ``/healthz``; anything else is a 404."""
 
-    def _respond(
-        self, status: int, body: bytes, content_type: str = "text/plain"
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        server_version = "repro-metrics/1"
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # scrapes are routine; stay silent on stderr
+        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+            path = self.path.split("?", 1)[0]
+            if path == "/metrics":
+                try:
+                    server = self.server
+                    collected = server.collect()  # type: ignore[attr-defined]
+                    body = (
+                        collected
+                        if isinstance(collected, str)
+                        else prometheus_text(collected)
+                    ).encode("utf-8")
+                except Exception as exc:  # collection must never kill the run
+                    message = f"collect failed: {exc}\n"
+                    self._respond(500, message.encode("utf-8"))
+                    return
+                self._respond(200, body, CONTENT_TYPE)
+            elif path == "/healthz":
+                self._respond(200, b"ok\n")
+            else:
+                self._respond(404, b"not found\n")
+
+        def _respond(
+            self, status: int, body: bytes, content_type: str = "text/plain"
+        ) -> None:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            pass  # scrapes are routine; stay silent on stderr
+
+    return _Handler
 
 
 class MetricsHTTPServer:
@@ -233,7 +244,7 @@ class MetricsHTTPServer:
         self._collect = collect or get_metrics
         self._host = host
         self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd = None  # http.server.ThreadingHTTPServer once started
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -249,8 +260,10 @@ class MetricsHTTPServer:
     def start(self) -> "MetricsHTTPServer":
         if self._httpd is not None:
             return self
+        from http.server import ThreadingHTTPServer
+
         httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), _Handler
+            (self._host, self._requested_port), _handler_class()
         )
         httpd.daemon_threads = True
         httpd.collect = self._collect  # type: ignore[attr-defined]

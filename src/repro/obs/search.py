@@ -35,22 +35,24 @@ number of ``candidate`` records equals ``EvalStats.requests`` exactly —
 cache hits, screened, infeasible, degraded re-runs and injected faults
 included — so the log never under- or over-reports what the engine did.
 
-Writing is crash-safe: events accumulate in memory and the whole stream
-is serialized through :func:`repro.resilience.atomic_write_text` on
-``flush()`` (called automatically every ``flush_every`` events and on
-``close()``), so a crash can truncate nothing — the previous complete
-snapshot stays on disk.
+Writing is append-only, at O(1) I/O per event: the log opens its path
+once and writes the header, and ``flush()`` (called automatically every
+:data:`FLUSH_EVERY` events and on ``close()``) serializes and appends
+only the events not yet written, so each event is serialized exactly
+once.  The file is fsynced once, on ``close()``.  A killed writer can
+leave a torn final line; :func:`read_events` drops it, the way the
+checkpoint journal's loader does.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..resilience.atomic import atomic_write_text
 from ..resilience.errors import UsageError
 
 __all__ = [
@@ -61,6 +63,9 @@ __all__ = [
 ]
 
 SEARCH_LOG_VERSION = 1
+
+#: Events buffered in memory between appends to a path-backed log.
+FLUSH_EVERY = 256
 
 #: Candidate dispositions (the ``disposition`` field of ``candidate``
 #: records).  ``simulated`` went to the full model; ``cache-hit`` /
@@ -159,27 +164,20 @@ class SearchLog:
     tracked per thread and handed across via :meth:`capture`/:meth:`use`.
 
     With ``path=None`` the log is in-memory only (``--explain`` without
-    ``--search-log`` uses this); with a path, :meth:`flush` serializes
-    the complete event stream atomically.
+    ``--search-log`` uses this); with a path, :meth:`flush` appends the
+    events not yet written.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        device=None,
-        flush_every: int = 256,
-    ):
+    def __init__(self, path: Optional[str] = None, device=None):
         self.path = path
         self.device = device
-        self.flush_every = max(1, int(flush_every))
         self._events: List[Dict[str, Any]] = []
         self._counts: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
         self._seq = 0
         self._t0 = time.perf_counter()
-        self._unflushed = 0
-        self._closed = False
+        self._written = 0  # leading events already appended to the file
         header: Dict[str, Any] = {
             "kind": "header",
             "version": SEARCH_LOG_VERSION,
@@ -188,6 +186,15 @@ class SearchLog:
         if device is not None:
             header["device"] = _device_payload(device)
         self._events.append(header)
+        self._handle = None
+        if path is not None:
+            try:
+                self._handle = open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot write search log {path}: {exc}"
+                ) from exc
+            self.flush()  # the header
 
     # -- context tags --------------------------------------------------------
 
@@ -244,9 +251,9 @@ class SearchLog:
                 disposition = fields.get("disposition", "?")
                 key = f"candidate.{disposition}"
                 self._counts[key] = self._counts.get(key, 0) + 1
-            self._unflushed += 1
             flush_now = (
-                self.path is not None and self._unflushed >= self.flush_every
+                self._handle is not None
+                and len(self._events) - self._written >= FLUSH_EVERY
             )
         if flush_now:
             self.flush()
@@ -393,21 +400,32 @@ class SearchLog:
         return self.counts().get("candidate", 0)
 
     def flush(self) -> None:
-        """Atomically write the complete JSONL stream (if a path is set)."""
-        if self.path is None:
-            return
+        """Append the events not yet written (if a path is set).
+
+        Each event is serialized once; the bytes go to the OS, so a
+        killed process keeps every flushed event.
+        """
         with self._lock:
-            lines = [
-                json.dumps(event, default=str) for event in self._events
-            ]
-            self._unflushed = 0
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
+            if self._handle is None or self._written == len(self._events):
+                return
+            pending = self._events[self._written:]
+            self._written = len(self._events)
+            self._handle.write(
+                "".join(json.dumps(e, default=str) + "\n" for e in pending)
+            )
+            self._handle.flush()
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """Append what is pending, fsync once and release the file.
+
+        Idempotent; events emitted afterwards stay in memory only.
+        """
         self.flush()
+        with self._lock:
+            if self._handle is not None:
+                os.fsync(self._handle.fileno())
+                self._handle.close()
+                self._handle = None
 
 
 def log_context(log: Optional[SearchLog], **tags):
@@ -420,9 +438,10 @@ def log_context(log: Optional[SearchLog], **tags):
 def read_events(path: str) -> List[Dict[str, Any]]:
     """Load a search-log JSONL file.
 
-    The file is written atomically, so a malformed line means damage by
-    something other than this writer; the loader fails loudly rather
-    than silently analyzing a partial history.
+    An unterminated final line is the torn tail of a killed writer and
+    is dropped.  Every terminated line was written whole, so a malformed
+    one means damage by something other than this writer; the loader
+    fails loudly rather than silently analyzing a partial history.
     """
     events: List[Dict[str, Any]] = []
     try:
@@ -431,6 +450,8 @@ def read_events(path: str) -> List[Dict[str, Any]]:
         raise UsageError(f"cannot read search log {path}: {exc}") from exc
     with handle:
         for number, line in enumerate(handle, start=1):
+            if not line.endswith("\n"):
+                break  # torn tail
             line = line.strip()
             if not line:
                 continue

@@ -2,10 +2,21 @@
 
 A :class:`TuningJournal` is an append-only JSONL file recording every
 candidate a tuning run has already priced — one self-contained record
-per line, flushed (and fsynced) as soon as it is known, so a crash at
-any instant loses at most the record being written.  An interrupted run
-restarted with the same journal replays the recorded outcomes instead
-of re-evaluating, then continues the search from where it died.
+per line, handed to the operating system as soon as it is known.  An
+interrupted run restarted with the same journal replays the recorded
+outcomes instead of re-evaluating, then continues the search from where
+it died.
+
+Durability is two-level, so a record costs one ``write()`` and not one
+``fsync()``:
+
+* every record is flushed to the OS on append, so a killed process
+  loses at most the line being written;
+* :meth:`TuningJournal.commit` fsyncs the appended records.  The tuners
+  call it once per evaluated batch (and after each single-candidate
+  record and each completed deep-tuning degree), and :meth:`close`
+  calls it too, so a power loss loses at most the current batch.  The
+  header is fsynced when the journal is created.
 
 Crash model and recovery:
 
@@ -146,6 +157,7 @@ class TuningJournal:
         if existed:
             self._load()
         self._handle = open(self.path, "a", encoding="utf-8")
+        self._dirty = False  # records appended since the last commit()
         self._acquire_lock()
         if not existed:
             self._append(
@@ -156,6 +168,7 @@ class TuningJournal:
                     "device": device,
                 }
             )
+            self.commit()
 
     def _acquire_lock(self) -> None:
         """Take an advisory exclusive lock on the append handle.
@@ -267,7 +280,19 @@ class TuningJournal:
         with self._lock:
             self._handle.write(line)
             self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._dirty = True
+
+    def commit(self) -> None:
+        """Fsync every record appended since the last commit.
+
+        Appends already reach the OS one line at a time, so they
+        survive a killed process; this makes them survive a power loss
+        too.  A no-op when nothing was appended since the last commit.
+        """
+        with self._lock:
+            if self._dirty and not self._handle.closed:
+                os.fsync(self._handle.fileno())
+                self._dirty = False
 
     def record_candidate(
         self,
@@ -344,9 +369,9 @@ class TuningJournal:
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
+        self.commit()
         with self._lock:
             if not self._handle.closed:
-                self._handle.flush()
                 self._handle.close()
 
     def __enter__(self) -> "TuningJournal":

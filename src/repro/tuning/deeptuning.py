@@ -207,6 +207,7 @@ def deep_tune(
                             "evaluations": tuner.evaluations,
                         },
                     )
+                    journal.commit()
             # Fusion helps only bandwidth-bound versions: stop otherwise.
             if not entries[-1].bandwidth_bound:
                 break

@@ -194,6 +194,7 @@ class HierarchicalTuner:
                 time_s=measurement.time_s,
                 tflops=measurement.tflops,
             )
+        self.journal.commit()
 
     def _journal_on_result(self, tag: str):
         """Per-completion callback journaling batch jobs as they finish.
@@ -201,7 +202,8 @@ class HierarchicalTuner:
         Runs inside the evaluator's batch loop (on a watchdog thread
         under ``--eval-timeout`` — the journal appends under its own
         lock), so a crash mid-batch preserves every candidate that
-        already completed.
+        already completed.  :meth:`_measure_batch` commits the batch
+        once it returns.
         """
         if self.journal is None:
             return None
@@ -275,6 +277,8 @@ class HierarchicalTuner:
             [plan for _, plan in fresh],
             on_result=self._journal_on_result("sf"),
         )
+        if self.journal is not None:
+            self.journal.commit()
         for (position, _), item in zip(fresh, found):
             results[position] = self._record(item)
         return results

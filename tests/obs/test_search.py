@@ -138,6 +138,25 @@ class TestJsonlRoundtrip:
             assert event["disposition"]
             assert "config" in event
 
+    def test_read_events_drops_torn_tail(self, tmp_path):
+        """A writer killed mid-append leaves an unterminated last line;
+        the reader returns every complete event before it."""
+        path = tmp_path / "search.jsonl"
+        log = SearchLog(path=str(path))
+        for index in range(10):
+            log.emit("synthetic", index=index)
+        log.close()
+        whole = path.read_bytes()
+        last_start = whole.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(whole[: last_start + 7])  # cut mid-line
+        events = read_events(str(path))
+        assert events[0]["kind"] == "header"
+        assert [e["index"] for e in events[1:]] == list(range(9))
+
+    def test_unwritable_path_is_a_usage_error(self, tmp_path):
+        with pytest.raises(UsageError, match="cannot write search log"):
+            SearchLog(path=str(tmp_path / "missing" / "search.jsonl"))
+
     def test_read_events_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "header"}\nnot json\n')
@@ -283,3 +302,30 @@ class TestPipelineEvents:
         log, _ = pipeline_log
         for event in log.events():
             json.dumps(event, default=str)
+
+
+class TestLinearCost:
+    """A path-backed log serializes each event exactly once, so its cost
+    per event is flat in run length (counted, not timed)."""
+
+    @pytest.mark.parametrize("count", [2_000, 32_000])
+    def test_each_event_serialized_once(self, tmp_path, monkeypatch, count):
+        real_dumps = json.dumps
+        lines = []
+
+        def counting_dumps(obj, *args, **kwargs):
+            text = real_dumps(obj, *args, **kwargs)
+            lines.append(text)
+            return text
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        path = tmp_path / "search.jsonl"
+        log = SearchLog(path=str(path))
+        for index in range(count):
+            log.emit("synthetic", index=index)
+        log.close()
+
+        assert len(lines) == count + 1  # the header plus every event
+        size = sum(len(line.encode("utf-8")) + 1 for line in lines)
+        assert path.stat().st_size == size
+        assert len(read_events(str(path))) == count + 1
