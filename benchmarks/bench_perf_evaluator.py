@@ -4,9 +4,10 @@ Times ``pipeline.optimize()`` for one temporal kernel (7pt-smoother) and
 one spatial kernel (addsgd4) twice: through the default shared
 ``PlanEvaluator`` (memoized, incremental escalation, occupancy
 prescreen) and in seed-equivalent mode (no memoization, full register
-ladder, plan-family caches disabled).  Both runs must land on the
-byte-identical schedule and TFLOPS; the engine must at least halve the
-``simulate()`` call count.  Results land in ``BENCH_evaluator.json``.
+ladder, on a freshly built twin IR so none of the engine run's pinned
+geometry serves it).  Both runs must land on the byte-identical
+schedule and TFLOPS; the engine must at least halve the ``simulate()``
+call count.  Results land in ``BENCH_evaluator.json``.
 """
 
 import json
@@ -15,9 +16,12 @@ import time
 
 import pytest
 
+from repro.dsl import parse
 from repro.gpu.simulator import reset_simulate_calls
+from repro.ir import build_ir
 from repro.pipeline import optimize
-from repro.tuning import PlanEvaluator, evaluation_caches_disabled
+from repro.suite import get
+from repro.tuning import PlanEvaluator
 
 from _cache import fmt, ir_of, print_table
 
@@ -40,10 +44,10 @@ def test_evaluator_speedup(name):
     ir = ir_of(name)
 
     fast, fast_wall, fast_calls = _timed_optimize(ir)
-    with evaluation_caches_disabled():
-        seed, seed_wall, seed_calls = _timed_optimize(
-            ir, evaluator=PlanEvaluator.seed_mode()
-        )
+    twin = build_ir(parse(get(name).dsl()))
+    seed, seed_wall, seed_calls = _timed_optimize(
+        twin, evaluator=PlanEvaluator.seed_mode()
+    )
 
     # Determinism: the engine changes cost, never results.
     assert fast.schedule == seed.schedule

@@ -22,14 +22,12 @@ from ..ir.analysis import (
     access_patterns,
     internal_reach,
     kernel_flops_per_point,
-    memoized_kv,
+    memoized,
     read_halos,
 )
 from ..ir.folding import apply_folding
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
-from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
-from ..obs import span as _span
 from .plan import (
     GMEM,
     KernelPlan,
@@ -47,14 +45,10 @@ Halo = Tuple[Tuple[int, int], ...]  # per-axis (lo, hi)
 # Every geometric quantity below is a pure function of (IR, plan) — and
 # none of them depend on ``plan.max_registers``, so all the register-
 # escalation rungs of one candidate share the same *plan family* and the
-# same cached geometry.  Results are keyed by IR identity (strong ref
-# held, as in ir.analysis) plus the canonical register-independent plan
-# key.  The cache can be disabled wholesale (benchmarks compare against
-# the uncached seed path; tests verify cached == uncached).
+# same cached geometry.  Results are pinned on the IR
+# (:func:`repro.ir.analysis.memoized`) under the canonical register-
+# independent plan key, or under the few plan fields they read.
 # ---------------------------------------------------------------------------
-
-_PLAN_MEMO: dict = {}
-_PLAN_MEMO_ENABLED = True
 
 
 def plan_family_key(plan: KernelPlan) -> tuple:
@@ -120,68 +114,6 @@ def plan_structural_key(plan: KernelPlan) -> tuple:
     return key
 
 
-def _plan_memoized(tag: str, ir: ProgramIR, plan: KernelPlan, compute,
-                   extra: tuple = ()):
-    if not _PLAN_MEMO_ENABLED:
-        return compute()
-    key = (tag, id(ir), plan_family_key(plan)) + extra
-    hit = _PLAN_MEMO.get(key)
-    if hit is not None and hit[0] is ir:
-        return hit[1]
-    # Only cache misses are worth observing: they are where geometry is
-    # actually computed, and they are rare enough (one per plan family)
-    # that instrumentation cannot perturb the hit fast-path.
-    if _metrics_enabled():
-        _counter(f"tiling.plan_cache_miss.{tag}").add()
-    with _span(f"planning.{tag}"):
-        value = compute()
-    _PLAN_MEMO[key] = (ir, value)
-    return value
-
-
-def _ir_memoized(tag: str, ir: ProgramIR, key: tuple, compute):
-    """Like :func:`_plan_memoized` but with an explicit sub-plan key.
-
-    Several geometric analyses depend on only a few plan fields (the
-    stage list reads nothing but ``kernel_names``/``time_tile``/
-    ``fold_groups``), so keying them by the full family key would
-    recompute them once per tile size.  Shares the plan cache and its
-    enable switch, so seed-equivalence benchmarks still disable
-    everything at once.
-    """
-    if not _PLAN_MEMO_ENABLED:
-        return compute()
-    full_key = (tag, id(ir)) + key
-    hit = _PLAN_MEMO.get(full_key)
-    if hit is not None and hit[0] is ir:
-        return hit[1]
-    if _metrics_enabled():
-        _counter(f"tiling.plan_cache_miss.{tag}").add()
-    with _span(f"planning.{tag}"):
-        value = compute()
-    _PLAN_MEMO[full_key] = (ir, value)
-    return value
-
-
-def set_plan_cache_enabled(enabled: bool) -> None:
-    """Toggle the (ir, plan-family) geometry cache; clears it on change."""
-    global _PLAN_MEMO_ENABLED
-    _PLAN_MEMO_ENABLED = bool(enabled)
-    _PLAN_MEMO.clear()
-
-
-def plan_cache_enabled() -> bool:
-    return _PLAN_MEMO_ENABLED
-
-
-def clear_plan_cache() -> None:
-    _PLAN_MEMO.clear()
-
-
-def plan_cache_size() -> int:
-    return len(_PLAN_MEMO)
-
-
 @dataclass(frozen=True)
 class Stage:
     """One fused stage: a stencil application inside a single launch."""
@@ -218,11 +150,12 @@ def build_stages(ir: ProgramIR, plan: KernelPlan) -> List[Stage]:
     of one structural family shares the same Stage objects.
     """
     return list(
-        _ir_memoized(
+        memoized(
             "stages",
             ir,
-            (plan.kernel_names, plan.time_tile, plan.fold_groups),
             lambda: _build_stages(ir, plan),
+            key=(plan.kernel_names, plan.time_tile, plan.fold_groups),
+            observe="planning",
         )
     )
 
@@ -280,8 +213,12 @@ class LaunchGeometry:
 
 def launch_geometry(ir: ProgramIR, plan: KernelPlan) -> LaunchGeometry:
     """Block decomposition of a plan (memoized per IR + plan family)."""
-    return _plan_memoized(
-        "geometry", ir, plan, lambda: _launch_geometry(ir, plan)
+    return memoized(
+        "geometry",
+        ir,
+        lambda: _launch_geometry(ir, plan),
+        key=plan_family_key(plan),
+        observe="planning",
     )
 
 
@@ -374,12 +311,12 @@ def read_footprint(
     ``stage`` and ``geometry`` are derived from (ir, plan), so the result
     is memoized per (IR, plan family, stage index, array).
     """
-    return _plan_memoized(
+    return memoized(
         "footprint",
         ir,
-        plan,
         lambda: _read_footprint(ir, plan, stage, geometry, array),
-        extra=(stage.index, array),
+        key=(plan_family_key(plan), stage.index, array),
+        observe="planning",
     )
 
 
@@ -486,8 +423,12 @@ def buffer_requirements(
     buffer the full input tile.  Memoized per (IR, plan family).
     """
     return dict(
-        _plan_memoized(
-            "buffers", ir, plan, lambda: _buffer_requirements(ir, plan)
+        memoized(
+            "buffers",
+            ir,
+            lambda: _buffer_requirements(ir, plan),
+            key=plan_family_key(plan),
+            observe="planning",
         )
     )
 
@@ -614,8 +555,12 @@ def intermediate_specs(
     Retimed kernels accumulate in registers instead (no shared planes).
     Memoized per (IR, plan family).
     """
-    return _plan_memoized(
-        "inter_specs", ir, plan, lambda: _intermediate_specs(ir, plan)
+    return memoized(
+        "inter_specs",
+        ir,
+        lambda: _intermediate_specs(ir, plan),
+        key=plan_family_key(plan),
+        observe="planning",
     )
 
 
@@ -711,7 +656,7 @@ def intermediate_buffer_bytes(ir: ProgramIR, plan: KernelPlan) -> int:
 def distinct_read_offsets(ir: ProgramIR, instance: StencilInstance, array: str):
     """Distinct per-axis read offset vectors of ``array`` in a kernel.
 
-    Memoized per (instance identity, array) — the simulator and register
+    Memoized per (instance, array) — the simulator and register
     model ask for this thousands of times per tuning run.
     """
 
@@ -724,7 +669,7 @@ def distinct_read_offsets(ir: ProgramIR, instance: StencilInstance, array: str):
                 seen.append(pattern.axis_offsets)
         return seen
 
-    return list(memoized_kv("distinct_offsets", instance, array, compute))
+    return list(memoized("distinct_offsets", instance, compute, key=array))
 
 
 def gmem_loads_per_point(
@@ -743,11 +688,11 @@ def gmem_loads_per_point(
     Memoized per (instance, unroll configuration, array) — only the
     plan's unroll fields participate in the result.
     """
-    return memoized_kv(
+    return memoized(
         "gmem_loads",
         instance,
-        (plan.unroll, plan.unroll_blocked, array),
         lambda: _gmem_loads_per_point(ir, plan, instance, array),
+        key=(plan.unroll, plan.unroll_blocked, array),
     )
 
 
@@ -812,8 +757,12 @@ def intra_staging_bytes(ir: ProgramIR, plan: KernelPlan) -> int:
     """Shared memory for values produced and consumed *within* one
     kernel (fused-DAG temporaries): a stream window under streaming, the
     full expanded tile otherwise.  Memoized per (IR, plan family)."""
-    return _plan_memoized(
-        "intra_staging", ir, plan, lambda: _intra_staging_bytes(ir, plan)
+    return memoized(
+        "intra_staging",
+        ir,
+        lambda: _intra_staging_bytes(ir, plan),
+        key=plan_family_key(plan),
+        observe="planning",
     )
 
 
@@ -864,4 +813,6 @@ def shmem_bytes_per_block(ir: ProgramIR, plan: KernelPlan) -> int:
         total += intra_staging_bytes(ir, plan)
         return total
 
-    return _plan_memoized("shmem_bytes", ir, plan, compute)
+    return memoized(
+        "shmem_bytes", ir, compute, key=plan_family_key(plan), observe="planning"
+    )

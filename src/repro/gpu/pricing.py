@@ -80,7 +80,7 @@ from ..codegen.tiling import (
     plan_structural_key,
     stream_window,
 )
-from ..ir.analysis import access_summary, read_halos
+from ..ir.analysis import access_summary, memoized, read_halos
 from ..ir.stencil import ProgramIR, StencilInstance
 from ..ir.types import sizeof
 from ..obs import counter as _obs_counter, metrics_enabled as _metrics_enabled
@@ -1405,26 +1405,19 @@ def _acc(terms: List[np.ndarray], n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structure cache + public API
+# public API
 # ---------------------------------------------------------------------------
 
 
-_STRUCT_CACHE: Dict[tuple, Tuple[ProgramIR, FamilyStructure]] = {}
-
-
 def family_structure(ir: ProgramIR, plan: KernelPlan) -> FamilyStructure:
-    """The (memoized) :class:`FamilyStructure` for a plan's family."""
-    key = (id(ir), plan_structural_key(plan))
-    hit = _STRUCT_CACHE.get(key)
-    if hit is not None and hit[0] is ir:
-        return hit[1]
-    structure = FamilyStructure(ir, plan)
-    _STRUCT_CACHE[key] = (ir, structure)
-    return structure
-
-
-def clear_structure_cache() -> None:
-    _STRUCT_CACHE.clear()
+    """The :class:`FamilyStructure` for a plan's family, pinned on the IR."""
+    return memoized(
+        "family_structure",
+        ir,
+        lambda: FamilyStructure(ir, plan),
+        key=plan_structural_key(plan),
+        observe=None,
+    )
 
 
 def _occupancy_rejection(

@@ -28,10 +28,11 @@ from ..codegen.tiling import (
     build_stages,
     buffer_requirements,
     intermediate_specs,
+    plan_family_key,
     stream_window,
 )
 from ..dsl.ast import array_accesses
-from ..ir.analysis import access_summary
+from ..ir.analysis import access_summary, memoized
 from ..ir.stencil import ProgramIR, StencilInstance
 
 #: Fixed cost: threadIdx/blockIdx math, guards, base pointers, constants.
@@ -51,9 +52,7 @@ LIVE_READ_FRACTION = 0.45
 
 def expression_registers(instance: StencilInstance) -> int:
     """Registers for live scalar temporaries and expression evaluation."""
-    from ..ir.analysis import _memoized
-
-    return _memoized(
+    return memoized(
         "expr_regs", instance, lambda: _expression_registers(instance)
     )
 
@@ -83,10 +82,12 @@ def register_demand(ir: ProgramIR, plan: KernelPlan) -> int:
     simulation (the cap is applied afterwards by
     :func:`compiled_registers`).  Memoized per (IR, plan family).
     """
-    from ..codegen.tiling import _plan_memoized
-
-    return _plan_memoized(
-        "reg_demand", ir, plan, lambda: _register_demand(ir, plan)
+    return memoized(
+        "reg_demand",
+        ir,
+        lambda: _register_demand(ir, plan),
+        key=plan_family_key(plan),
+        observe="planning",
     )
 
 

@@ -38,8 +38,6 @@ from ..codegen.plan import KernelPlan, PERSPECTIVE_OUTPUT
 from ..codegen.tiling import (
     LaunchGeometry,
     Stage,
-    _ir_memoized,
-    _plan_memoized,
     build_stages,
     buffer_requirements,
     distinct_read_offsets,
@@ -47,11 +45,12 @@ from ..codegen.tiling import (
     intermediate_specs,
     launch_geometry,
     pingpong_pair,
+    plan_family_key,
     points_computed,
     read_footprint,
     shmem_bytes_per_block,
 )
-from ..ir.analysis import access_patterns, access_summary
+from ..ir.analysis import access_patterns, access_summary, memoized
 from ..ir.stencil import ProgramIR
 from ..ir.types import sizeof
 from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
@@ -126,8 +125,12 @@ class PlanPrefix:
 
 def plan_prefix(ir: ProgramIR, plan: KernelPlan) -> PlanPrefix:
     """Register-independent analysis of a plan (memoized per family)."""
-    return _plan_memoized(
-        "sim_prefix", ir, plan, lambda: _plan_prefix(ir, plan)
+    return memoized(
+        "sim_prefix",
+        ir,
+        lambda: _plan_prefix(ir, plan),
+        key=plan_family_key(plan),
+        observe="planning",
     )
 
 
@@ -446,23 +449,25 @@ def _live_bytes_per_block(ir, plan, geometry, stages, buffers) -> float:
 def externally_visible(ir: ProgramIR, plan: KernelPlan) -> frozenset:
     """Memoized :func:`_externally_visible` — reads only the kernel set,
     so every geometry/unroll/register variant shares one computation."""
-    return _ir_memoized(
+    return memoized(
         "ext_visible",
         ir,
-        (plan.kernel_names,),
         lambda: frozenset(_externally_visible(ir, plan)),
+        key=plan.kernel_names,
+        observe="planning",
     )
 
 
 def intermediate_arrays(ir: ProgramIR, plan: KernelPlan) -> frozenset:
     """Memoized :func:`_intermediate_arrays` (stage-structure keyed)."""
-    return _ir_memoized(
+    return memoized(
         "inter_arrays",
         ir,
-        (plan.kernel_names, plan.time_tile, plan.fold_groups),
         lambda: frozenset(
             _intermediate_arrays(ir, plan, tuple(build_stages(ir, plan)))
         ),
+        key=(plan.kernel_names, plan.time_tile, plan.fold_groups),
+        observe="planning",
     )
 
 

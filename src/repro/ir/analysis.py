@@ -28,57 +28,56 @@ from .stencil import ProgramIR, Statement, StencilInstance
 from .types import sizeof
 
 # ---------------------------------------------------------------------------
-# identity-keyed memoization
+# memoization pinned on the immutable IR
 #
 # Analyses walk (potentially enormous) expression ASTs; the simulator and
-# autotuner call them thousands of times on the same immutable kernel
-# instances.  Results are cached by object identity, keeping a strong
-# reference to the key so ids are never recycled while cached.
+# autotuner ask for them thousands of times on the same frozen kernel
+# instances and programs.  Each result is kept in a ``_memo`` dict in the
+# ``__dict__`` of the object it derives from, so it lives exactly as long
+# as that object: a rebuilt IR starts cold and a dropped one frees its
+# results.  ``StencilInstance`` and ``ProgramIR`` leave ``_memo`` out of
+# their pickled and copied state.
 # ---------------------------------------------------------------------------
 
-_MEMO: dict = {}
+#: (miss counter prefix, span prefix) of each observed memo family.
+_OBSERVED = {
+    "analysis": ("analysis.cache_miss.", "analysis."),
+    "planning": ("tiling.plan_cache_miss.", "planning."),
+}
+
+_MISSING = object()
 
 
-def _memoized(tag: str, obj, compute):
-    key = (tag, id(obj))
-    hit = _MEMO.get(key)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    if _metrics_enabled():
-        _counter(f"analysis.cache_miss.{tag}").add()
-    with _span(f"analysis.{tag}"):
-        value = compute()
-    _MEMO[key] = (obj, value)
-    return value
+def memoized(tag: str, owner, compute, key=None, observe="analysis"):
+    """``compute()``, computed once per ``(tag, key)`` and pinned on ``owner``.
 
-
-def memoized_kv(tag: str, obj, key, compute):
-    """Identity-keyed memoization with an extra hashable sub-key.
-
-    Like :func:`_memoized` but for analyses parameterized beyond the
-    object itself (e.g. per-array or per-plan-shape results).  ``key``
-    must be hashable and, together with ``tag`` and the object identity,
-    fully determine the computed value.
+    ``owner`` is the frozen object the value derives from; together with
+    ``tag`` and the hashable ``key`` (e.g. an array name or a plan family
+    key) it must fully determine the value.  Each miss bumps the
+    ``observe`` family's counter and runs inside its span, both suffixed
+    with ``tag``; ``observe=None`` leaves a miss unobserved.  Only misses
+    are observed: they are where values are computed, and rare enough
+    that instrumentation cannot slow the hit path.
     """
-    full = (tag, id(obj), key)
-    hit = _MEMO.get(full)
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    if _metrics_enabled():
-        _counter(f"analysis.cache_miss.{tag}").add()
-    with _span(f"analysis.{tag}"):
+    try:
+        memo = owner.__dict__["_memo"]
+    except KeyError:
+        memo = owner.__dict__["_memo"] = {}
+    full = (tag, key)
+    value = memo.get(full, _MISSING)
+    if value is not _MISSING:
+        return value
+    if observe is None:
         value = compute()
-    _MEMO[full] = (obj, value)
+    else:
+        counter, span = _OBSERVED[observe]
+        if _metrics_enabled():
+            _counter(counter + tag).add()
+        with _span(span + tag):
+            value = compute()
+    memo[full] = value
     return value
 
-
-def clear_analysis_cache() -> None:
-    """Drop every memoized analysis result (tests / memory pressure)."""
-    _MEMO.clear()
-
-
-def analysis_cache_size() -> int:
-    return len(_MEMO)
 
 #: FLOP cost charged per intrinsic call (conventional single-op counting).
 CALL_FLOPS = {
@@ -129,7 +128,7 @@ def statement_flops(stmt: Statement) -> int:
 
 def kernel_flops_per_point(instance: StencilInstance) -> int:
     """FLOPs executed per output grid point by one kernel instance."""
-    return _memoized(
+    return memoized(
         "flops",
         instance,
         lambda: sum(statement_flops(s) for s in instance.statements),
@@ -172,7 +171,7 @@ def access_patterns(
                 out.append(_pattern_of(ir, stmt.lhs, is_write=True))
         return tuple(out)
 
-    return _memoized("patterns", instance, compute)
+    return memoized("patterns", instance, compute)
 
 
 def _pattern_of(ir: ProgramIR, access: ArrayAccess, is_write: bool) -> AccessPattern:
@@ -213,7 +212,7 @@ def array_offset_sets(
             for name in sorted({*reads, *writes})
         }
 
-    return _memoized("offset_sets", instance, compute)
+    return memoized("offset_sets", instance, compute)
 
 
 def read_halos(
@@ -224,7 +223,7 @@ def read_halos(
     ``lo`` is how far reads reach below the center along the axis, ``hi``
     how far above.  Arrays never read get no entry.
     """
-    return _memoized("halos", instance, lambda: _read_halos(ir, instance))
+    return memoized("halos", instance, lambda: _read_halos(ir, instance))
 
 
 def _read_halos(
@@ -259,7 +258,7 @@ def combined_halo(ir: ProgramIR, instance: StencilInstance) -> Tuple[Tuple[int, 
                 combined[axis][1] = max(combined[axis][1], hi)
         return tuple((lo, hi) for lo, hi in combined)
 
-    return _memoized("combined_halo", instance, compute)
+    return memoized("combined_halo", instance, compute)
 
 
 def stencil_order(ir: ProgramIR, instance: StencilInstance) -> int:
@@ -272,7 +271,7 @@ def stencil_order(ir: ProgramIR, instance: StencilInstance) -> int:
                 order = max(order, pattern.max_abs_offset())
         return order
 
-    return _memoized("order", instance, compute)
+    return memoized("order", instance, compute)
 
 
 def program_order(ir: ProgramIR) -> int:
@@ -298,7 +297,7 @@ class ArrayAccessSummary:
 def access_summary(
     ir: ProgramIR, instance: StencilInstance
 ) -> Dict[str, ArrayAccessSummary]:
-    return _memoized("summary", instance, lambda: _access_summary(ir, instance))
+    return memoized("summary", instance, lambda: _access_summary(ir, instance))
 
 
 def _access_summary(
@@ -316,9 +315,11 @@ def _access_summary(
         bucket = offsets.setdefault(pattern.array, [])
         if pattern.axis_offsets not in bucket:
             bucket.append(pattern.axis_offsets)
+    # ``offsets`` holds every array read or written, in first-access
+    # order: consumers sum floats over this dict, so its order must not
+    # depend on string hashing.
     out: Dict[str, ArrayAccessSummary] = {}
-    for array in set(reads_total) | set(writes):
-        distinct = offsets.get(array, [])
+    for array, distinct in offsets.items():
         out[array] = ArrayAccessSummary(
             array=array,
             reads_total=reads_total.get(array, 0),
@@ -467,7 +468,7 @@ def _segment_halos(
 
 
 def statement_geometry(ir: ProgramIR, instance: StencilInstance):
-    return _memoized(
+    return memoized(
         "stmt_geometry", instance, lambda: _statement_geometry(ir, instance)
     )
 
@@ -529,7 +530,7 @@ def internal_reach(
 ) -> Tuple[Tuple[int, int], ...]:
     """Per-axis (lo, hi) lookback a block needs for this kernel alone:
     max over grid statements of (internal expansion + read halo)."""
-    return _memoized(
+    return memoized(
         "reach", instance, lambda: _internal_reach(ir, instance)
     )
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..dsl.ast import Expr, array_accesses
+from .analysis import memoized
 from .stencil import ProgramIR, Statement, StencilInstance
 from .transform import shift_accesses
 
@@ -93,15 +94,13 @@ def kernel_retimable(
     """
     if iterator is None:
         iterator = streaming_iterator(ir, instance)
-    from .analysis import memoized_kv
-
-    return memoized_kv(
+    return memoized(
         "retimable",
         instance,
-        iterator,
         lambda: all(
             statement_retimable(s, iterator) for s in instance.statements
         ),
+        key=iterator,
     )
 
 

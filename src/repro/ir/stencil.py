@@ -77,6 +77,14 @@ class Statement:
         return replace(self, rhs=rhs)
 
 
+def _state_without_memo(self) -> dict:
+    """Pickle and copy state without the results
+    :func:`repro.ir.analysis.memoized` pinned: a restored copy starts cold."""
+    state = dict(self.__dict__)
+    state.pop("_memo", None)
+    return state
+
+
 @dataclass(frozen=True)
 class StencilInstance:
     """A stencil call instantiated with actual array/scalar names."""
@@ -150,6 +158,8 @@ class StencilInstance:
     def replace(self, **changes) -> "StencilInstance":
         return replace(self, **changes)
 
+    __getstate__ = _state_without_memo
+
 
 @dataclass(frozen=True)
 class ProgramIR:
@@ -209,6 +219,8 @@ class ProgramIR:
 
     def replace(self, **changes) -> "ProgramIR":
         return replace(self, **changes)
+
+    __getstate__ = _state_without_memo
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.analysis import array_offset_sets, memoized_kv
+from ..ir.analysis import array_offset_sets, memoized
 from ..ir.dag import DiGraph
 from ..ir.stencil import ProgramIR
 
@@ -175,9 +175,7 @@ def kernel_dependences(ir: ProgramIR) -> Tuple[DependenceEdge, ...]:
     full distance set.  Memoized per IR (the certifier probes this once
     per plan family on the engine's hot path).
     """
-    return memoized_kv(
-        "dependences", ir, None, lambda: _kernel_dependences(ir)
-    )
+    return memoized("dependences", ir, lambda: _kernel_dependences(ir))
 
 
 def _kernel_dependences(ir: ProgramIR) -> Tuple[DependenceEdge, ...]:

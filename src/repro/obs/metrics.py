@@ -26,7 +26,7 @@ API::
 
     if metrics_enabled():
         counter("eval.requests").add()
-        gauge("tiling.plan_cache.size").set(plan_cache_size())
+        gauge("tuning.best_tflops").set(best.tflops)
         histogram("simulate.wall_s").observe(elapsed)
 """
 

@@ -13,7 +13,6 @@ from .evaluator import (
     EvalStats,
     FailureRecord,
     PlanEvaluator,
-    evaluation_caches_disabled,
     plan_fingerprint,
 )
 from .fission import (
@@ -61,7 +60,6 @@ __all__ = [
     "WarmStartTuner",
     "dedupe_candidates",
     "deep_tune",
-    "evaluation_caches_disabled",
     "plan_fingerprint",
     "exhaustive_space_size",
     "export_dsl",

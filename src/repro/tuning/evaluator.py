@@ -61,11 +61,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..codegen.resources import InvalidPlan, validate_plan
-from ..codegen.tiling import (
-    plan_family_key,
-    plan_structural_key,
-    set_plan_cache_enabled,
-)
+from ..codegen.tiling import plan_family_key, plan_structural_key
 from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.pricing import price
@@ -298,20 +294,6 @@ def plan_fingerprint(plan: KernelPlan, include_registers: bool = True) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@contextmanager
-def evaluation_caches_disabled():
-    """Disable the (ir, plan-family) geometry/prefix caches in a scope.
-
-    Benchmarks use this to time the seed-equivalent uncached path; tests
-    use it to prove cached and uncached values are identical.
-    """
-    set_plan_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_plan_cache_enabled(True)
-
-
 class PlanEvaluator:
     """Single evaluation front-end for every tuner and baseline.
 
@@ -398,9 +380,10 @@ class PlanEvaluator:
 
         no memoization, the full 4-rung register ladder, no legality or
         occupancy prescreen, and one scalar ``simulate`` per request.
-        Combine with :func:`evaluation_caches_disabled` to also
-        recompute the per-family geometry each time.  Benchmarks and
-        equivalence tests use this as the comparison baseline.
+        Run it on a freshly built IR to also recompute the per-family
+        geometry from source: geometry is pinned on the IR it derives
+        from, so a rebuilt twin starts cold.  Benchmarks and equivalence
+        tests use this as the comparison baseline.
         """
         return cls(device=device, reference=True)
 

@@ -10,8 +10,12 @@ or request count.  Where ``optimize`` raises (the TOY profile cannot
 launch some programs' seed plans), the exception type and message must
 match instead.  The test process, under its own random hash seed and
 with whatever caches earlier tests warmed, must print the same record.
+Each child also writes the ``optimize miniflux --checkpoint`` journal,
+whose every candidate's TFLOPS and time must match to the last bit.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -56,25 +60,50 @@ def record(name, device):
     return json.dumps(fields, sort_keys=True)
 
 
+JOURNAL_PROGRAM = "miniflux"
+
+
+def write_journal(path):
+    """Run ``repro optimize <JOURNAL_PROGRAM> --checkpoint path``."""
+    from repro.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["optimize", JOURNAL_PROGRAM, "--checkpoint", path]) == 0
+
+
 CHILD = r"""
-from tests.integration.test_hash_seed_determinism import CASES, record
+import sys
+
+from tests.integration.test_hash_seed_determinism import (
+    CASES,
+    record,
+    write_journal,
+)
 
 for name, device in CASES:
     print(record(name, device))
+write_journal(sys.argv[1])
 """
 
 
 @pytest.fixture(scope="module")
-def children():
-    """Each seed's records, from two children run side by side."""
+def journal_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("journals")
+
+
+@pytest.fixture(scope="module")
+def children(journal_dir):
+    """Each seed's records, from two children run side by side; each
+    child writes its journal to ``journal_dir / <seed>.jsonl``."""
     procs = []
     for seed in SEEDS:
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = seed
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        journal = str(journal_dir / f"{seed}.jsonl")
         procs.append(
             subprocess.Popen(
-                [sys.executable, "-c", CHILD],
+                [sys.executable, "-c", CHILD, journal],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -105,3 +134,16 @@ def test_optimize_is_identical_across_hash_seeds(case, children):
     first, second = (lines[index] for lines in children)
     assert first == second
     assert record(*case) == first
+
+
+def test_checkpoint_journal_is_identical_across_hash_seeds(
+    children, journal_dir, tmp_path
+):
+    first, second = (
+        (journal_dir / f"{seed}.jsonl").read_bytes() for seed in SEEDS
+    )
+    assert first.count(b"\n") > 100  # the journal holds real candidates
+    assert first == second
+    here = tmp_path / "here.jsonl"
+    write_journal(str(here))
+    assert here.read_bytes() == first

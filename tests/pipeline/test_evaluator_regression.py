@@ -3,14 +3,18 @@
 Runs a full ``pipeline.optimize()`` twice on the same program — once
 through the default engine (memoized + incremental escalation) and once
 in seed-equivalent mode (no memoization, full register ladder, plan-
-family caches disabled) — and asserts the engine at least halves the
-``simulate()`` call count while producing the identical outcome.
+family geometry computed on a freshly built twin IR, so none of the
+first run's pinned results serve it) — and asserts the engine at least
+halves the ``simulate()`` call count while producing the identical
+outcome.
 """
 
+from repro.dsl import parse
 from repro.gpu.simulator import reset_simulate_calls, simulate_call_count
+from repro.ir import build_ir
 from repro.pipeline import optimize
-from repro.suite import load_ir
-from repro.tuning import PlanEvaluator, evaluation_caches_disabled
+from repro.suite import get, load_ir
+from repro.tuning import PlanEvaluator
 
 
 def _seed_mode_evaluator() -> PlanEvaluator:
@@ -23,8 +27,8 @@ class TestSimulateCallReduction:
         reset_simulate_calls()
         fast = optimize(ir, top_k=2)
         fast_calls = reset_simulate_calls()
-        with evaluation_caches_disabled():
-            seed = optimize(ir, top_k=2, evaluator=_seed_mode_evaluator())
+        twin = build_ir(parse(get("7pt-smoother").dsl()))
+        seed = optimize(twin, top_k=2, evaluator=_seed_mode_evaluator())
         seed_calls = reset_simulate_calls()
 
         assert fast_calls > 0

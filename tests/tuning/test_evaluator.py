@@ -14,13 +14,12 @@ from repro.codegen.plan import REGISTER_LEVELS
 from repro.codegen.resources import InvalidPlan, validate_plan
 from repro.codegen.tiling import plan_family_key
 from repro.gpu.simulator import PlanInfeasible, simulate
-from repro.tuning import (
-    HierarchicalTuner,
-    PlanEvaluator,
-    evaluation_caches_disabled,
-    plan_fingerprint,
-)
+from repro.dsl import parse
+from repro.ir import build_ir
+from repro.tuning import HierarchicalTuner, PlanEvaluator, plan_fingerprint
 from repro.tuning.random_search import _sample_plan
+
+from .conftest import SMOOTHER_SRC
 
 
 def sampled_plans(ir, kernel_name, count, seed=7):
@@ -61,9 +60,13 @@ class TestIdentityProperty:
         kernel = smoother_ir.kernels[0].name
         plans = sampled_plans(smoother_ir, kernel, 30, seed=13)
         warm = [evaluator.try_evaluate(smoother_ir, p) for p in plans]
-        with evaluation_caches_disabled():
-            cold_eval = PlanEvaluator.seed_mode()
-            cold = [cold_eval.try_evaluate(smoother_ir, p) for p in plans]
+        # Each cold price runs on its own freshly built twin IR, so no
+        # geometry pinned by an earlier plan can serve it.
+        cold_eval = PlanEvaluator.seed_mode()
+        cold = [
+            cold_eval.try_evaluate(build_ir(parse(SMOOTHER_SRC)), p)
+            for p in plans
+        ]
         for cached, fresh in zip(warm, cold):
             assert (cached is None) == (fresh is None)
             if cached is not None:

@@ -27,6 +27,8 @@ from repro.tuning import HierarchicalTuner, PlanEvaluator, deep_tune
 from repro.tuning.deeptuning import fusion_schedule
 from repro.tuning.evaluator import Measurement
 
+from .conftest import SMOOTHER_SRC
+
 
 #: Stats fields that must not depend on how candidates were priced.
 INVARIANT_FIELDS = (
@@ -206,10 +208,11 @@ class TestBreakEven:
             raise RuntimeError("family pass failed")
 
         monkeypatch.setattr(FamilyStructure, method, broken)
-        pricing.clear_structure_cache()
+        # A freshly built twin IR has no family structure pinned yet.
+        twin = build_ir(parse(SMOOTHER_SRC))
         configure_metrics(True, reset=True)
         try:
-            got = _batch_outcome(smoother_ir, plans)
+            got = _batch_outcome(twin, plans)
             fallbacks = get_metrics().snapshot()["pricing.scalar_fallbacks"]
         finally:
             configure_metrics(False, reset=True)
