@@ -17,7 +17,6 @@ gate takes the median ratio of the certifier-on runs.  Results land in
 ``BENCH_certify.json``.
 """
 
-import json
 import os
 import statistics
 import time

@@ -10,7 +10,6 @@ schedule and TFLOPS; the engine must at least halve the ``simulate()``
 call count.  Results land in ``BENCH_evaluator.json``.
 """
 
-import json
 import os
 import time
 

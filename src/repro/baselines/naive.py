@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..codegen.plan import KernelPlan, ProgramPlan, STREAM_NONE, STREAM_SERIAL
 from ..codegen.generator import schedule_tflops

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from .codegen.generator import generate_baseline, lower
-from .gpu.device import DEVICES, DeviceSpec, P100, device_names, get_device
+from .gpu.device import DEVICES, DeviceSpec, device_names, get_device
 from .ir.analysis import characteristics
 from .obs import (
     configure_metrics,

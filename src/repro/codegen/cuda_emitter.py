@@ -22,7 +22,7 @@ innermost iterator) maps to ``threadIdx.x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dsl.ast import (
     ArrayAccess,
@@ -38,7 +38,7 @@ from ..dsl.ast import (
 from ..ir.analysis import read_halos
 from ..ir.decompose import split_accumulation
 from ..ir.homogenize import expr_homogenization
-from ..ir.stencil import ProgramIR, Statement, StencilInstance
+from ..ir.stencil import ProgramIR, Statement
 from ..ir.types import DTYPE_CUDA
 from .plan import GMEM, KernelPlan, REGISTER, SHMEM
 from .tiling import (
@@ -47,7 +47,6 @@ from .tiling import (
     buffer_requirements,
     intermediate_specs,
     launch_geometry,
-    planned_instances,
 )
 
 

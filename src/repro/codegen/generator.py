@@ -10,7 +10,7 @@ and render CUDA plus a simulated performance report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..dsl.ast import Program
 from ..dsl.parser import parse

@@ -15,8 +15,8 @@ CUDA emitter converts to CUDA's x-fastest convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..ir.folding import FoldGroup
 

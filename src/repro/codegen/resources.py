@@ -22,15 +22,13 @@ from typing import Dict, List, Optional, Tuple
 from ..gpu.device import DeviceSpec, P100
 from ..gpu.occupancy import occupancy
 from ..gpu.registers import compiled_registers
-from ..ir.analysis import access_summary, read_halos
+from ..ir.analysis import access_summary
 from ..ir.homogenize import kernel_retimable
 from ..ir.stencil import ProgramIR, StencilInstance
-from ..ir.types import sizeof
 from ..resilience.errors import InfeasiblePlanError
 from .plan import GMEM, KernelPlan, REGISTER, SHMEM
 from .tiling import (
     build_stages,
-    buffer_requirements,
     is_star_along,
     launch_geometry,
     shmem_bytes_per_block,

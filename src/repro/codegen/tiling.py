@@ -84,6 +84,27 @@ def plan_family_key(plan: KernelPlan) -> tuple:
     return key
 
 
+def family_key_factory(plan: KernelPlan):
+    """``key(block, unroll, unroll_blocked)``: the :func:`plan_family_key`
+    of ``plan`` with those grid axes, built without the plan.
+
+    The vectorized engine keeps a structural family's candidates as
+    lane columns; this gives each lane its memo key without a
+    :class:`KernelPlan` per lane.
+    """
+    (names, _, time_tile, streaming, stream_axis, chunks, _, _, prefetch,
+     perspective, placements, retime, folds) = plan_family_key(plan)
+
+    def key(block, unroll, unroll_blocked) -> tuple:
+        return (
+            names, block, time_tile, streaming, stream_axis, chunks,
+            unroll, unroll_blocked, prefetch, perspective, placements,
+            retime, folds,
+        )
+
+    return key
+
+
 def plan_structural_key(plan: KernelPlan) -> tuple:
     """Identity of a plan's *structure*: the family key with the grid
     knobs (block tile, unroll factors, register cap) factored out too.
@@ -400,16 +421,23 @@ def is_star_along(
     any other axis forces the off-center plane into shared memory (a
     register cannot hold a neighbour thread's value).
     """
-    for pattern in access_patterns(ir, instance):
-        if pattern.array != array or pattern.is_write:
-            continue
-        stream_offset = pattern.axis_offsets[stream_axis]
-        if stream_offset in (None, 0):
-            continue
-        for axis, offset in enumerate(pattern.axis_offsets):
-            if axis != stream_axis and offset not in (None, 0):
-                return False
-    return True
+
+    def compute() -> bool:
+        for pattern in access_patterns(ir, instance):
+            if pattern.array != array or pattern.is_write:
+                continue
+            stream_offset = pattern.axis_offsets[stream_axis]
+            if stream_offset in (None, 0):
+                continue
+            for axis, offset in enumerate(pattern.axis_offsets):
+                if axis != stream_axis and offset not in (None, 0):
+                    return False
+        return True
+
+    return memoized(
+        "star_along", instance, compute, key=(array, stream_axis),
+        observe=None,
+    )
 
 
 def buffer_requirements(

@@ -23,7 +23,7 @@ stencils"; it sets :attr:`Program.time_iterations`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import lexer
 from .ast import (

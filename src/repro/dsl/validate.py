@@ -20,7 +20,6 @@ from .ast import (
     ArrayAccess,
     Assignment,
     LocalDecl,
-    Name,
     Program,
     StencilCall,
     StencilDef,

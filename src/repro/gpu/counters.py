@@ -8,8 +8,7 @@ consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
 
 from .occupancy import OccupancyResult
 

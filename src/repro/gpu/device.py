@@ -32,7 +32,7 @@ priced on two devices can never share a cache entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Tuple
 
 from ..resilience.errors import UsageError

@@ -9,7 +9,6 @@ the advisor and the resource-rationing algorithm (Section II-B2) consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..resilience.errors import InfeasiblePlanError
 from .device import DeviceSpec

@@ -35,12 +35,17 @@ the scalar code's *exact* operation order:
   selection, register-vs-shared served reads, sync/bubble gating) are
   evaluated with masks; branches that depend only on structure are
   resolved once at :class:`FamilyStructure` build time;
-* lanes that fail the occupancy screen fall back to the scalar
-  :func:`repro.gpu.occupancy.occupancy` call to reproduce the exact
-  exception message, context and RL2xx classification.
+* the occupancy screen classifies every lane into an RL2xx code array
+  in the scalar check order; only a lane whose message is read goes
+  back to the scalar :func:`repro.gpu.occupancy.occupancy` call, which
+  reproduces the exact exception message and context.
 
-Feasible lanes yield :class:`~repro.gpu.counters.SimulationResult`
-objects equal (``==``, field for field) to what ``simulate`` returns.
+A pass returns :class:`PricedLanes`: the model's outputs as columns over
+the lane axis.  ``lanes[i]`` builds lane ``i``'s :class:`PricedLane` on
+demand, and its :class:`~repro.gpu.counters.SimulationResult` equals
+(``==``, field for field) what ``simulate`` returns.  The lanes
+themselves are a :class:`LaneGrid` — the grid axes as columns — so a
+caller sweeping a block x unroll space never builds a plan per lane.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Collection,
     Dict,
     List,
@@ -58,6 +64,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -101,12 +108,15 @@ from .simulator import (
 __all__ = [
     "FamilyPricing",
     "FamilyStructure",
+    "LaneGrid",
     "MIN_FAMILY",
     "PricedLane",
+    "PricedLanes",
     "Quote",
     "family_structure",
     "price",
     "price_family",
+    "price_lanes",
     "price_plan",
     "priced_lane_count",
     "reset_priced_lanes",
@@ -159,6 +169,194 @@ class PricedLane:
     @property
     def feasible(self) -> bool:
         return self.result is not None
+
+
+#: Occupancy rule codes by :attr:`PricedLanes.codes` value (0: it fits).
+OCCUPANCY_CODES = (None, "RL201", "RL202", "RL203")
+_RL201, _RL202, _RL203 = 1, 2, 3
+#: Rule code of a lane no block fits, by its limiting resource (the
+#: ``limits`` order of :meth:`FamilyStructure._occupancy_lanes`).
+_LIMITER_CODES = np.asarray([_RL202, _RL202, _RL203, _RL201], np.int8)
+_LIMITERS = ("threads", "blocks", "registers", "shmem")
+
+
+@dataclass(frozen=True, eq=False)
+class LaneGrid:
+    """A structural family's lanes along its grid axes, as columns.
+
+    Lane ``i`` tiles with ``blocks[block_index[i]]``, unrolls by
+    ``unrolls[unroll_index[i]]`` and is capped at ``max_registers[i]``
+    registers; each distinct tuple is stored once.  This is everything
+    :class:`FamilyStructure` reads of a plan that its structure does not
+    fix, so a sweep is priced without a :class:`KernelPlan` per lane.
+    """
+
+    blocks: Tuple[Tuple[int, ...], ...]
+    block_index: np.ndarray
+    unrolls: Tuple[Tuple[int, ...], ...]
+    unroll_index: np.ndarray
+    unroll_blocked: np.ndarray  # bool per lane
+    max_registers: np.ndarray  # int64 per lane
+
+    @classmethod
+    def of(cls, plans: Sequence[KernelPlan]) -> "LaneGrid":
+        """The grid of explicit plans (which must share one structure)."""
+        blocks: Dict[tuple, int] = {}
+        unrolls: Dict[tuple, int] = {}
+        block_index = [blocks.setdefault(p.block, len(blocks)) for p in plans]
+        unroll_index = [
+            unrolls.setdefault(p.unroll, len(unrolls)) for p in plans
+        ]
+        return cls(
+            blocks=tuple(blocks),
+            block_index=np.asarray(block_index, _I8),
+            unrolls=tuple(unrolls),
+            unroll_index=np.asarray(unroll_index, _I8),
+            unroll_blocked=np.asarray(
+                [p.unroll_blocked for p in plans], bool
+            ),
+            max_registers=np.asarray([p.max_registers for p in plans], _I8),
+        )
+
+    def __len__(self) -> int:
+        return len(self.block_index)
+
+
+Lanes = Union[LaneGrid, Sequence[KernelPlan]]
+
+
+def _grid(lanes: Lanes) -> LaneGrid:
+    return lanes if isinstance(lanes, LaneGrid) else LaneGrid.of(lanes)
+
+
+class PricedLanes(Sequence):
+    """One family pass's prices, as columns over the lane axis.
+
+    ``feasible``, ``codes`` (index into :data:`OCCUPANCY_CODES`: the
+    occupancy screen's rule per lane), ``demand`` and ``time_s`` (inf
+    where the screen rejects) are arrays.  ``lanes[i]`` builds lane
+    ``i``'s :class:`PricedLane` on demand: :meth:`result` assembles its
+    :class:`SimulationResult` (once; later calls return the same
+    object) and :meth:`rejection` asks the scalar occupancy model for
+    the exact message and context of a rejected lane.
+    """
+
+    def __init__(self, device, demand, compiled, threads, blocks, shmem,
+                 occ, counters, timing):
+        self.device = device
+        self.demand = demand
+        self.feasible = ~occ["infeasible"]
+        self.codes = occ["code"]
+        bound = np.maximum(
+            np.maximum(
+                np.maximum(
+                    np.maximum(timing["compute"], timing["dram"]),
+                    timing["tex"],
+                ),
+                timing["shm"],
+            ),
+            timing["latency"],
+        )
+        # TimingBreakdown.total_s, in its operation order.
+        total = bound + timing["sync"] + timing["bubble"] + timing["launch"]
+        self.time_s = np.where(self.feasible, total, np.inf)
+        self._launch = (compiled, threads, blocks, shmem)
+        self._occ = occ
+        self._counters = counters
+        self._timing = timing
+        self._results: Dict[int, SimulationResult] = {}
+
+    def __len__(self) -> int:
+        return len(self.demand)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if not -len(self) <= index < len(self):
+            raise IndexError(index)
+        index %= len(self)
+        demand = int(self.demand[index])
+        if self.feasible[index]:
+            return PricedLane(demand=demand, result=self.result(index))
+        message, context, code = self.rejection(index)
+        return PricedLane(
+            demand=demand,
+            result=None,
+            occ_message=message,
+            occ_context=context,
+            occ_code=code,
+        )
+
+    def code(self, index: int) -> Optional[str]:
+        """The occupancy screen's rule code for a lane (None: it fits)."""
+        return OCCUPANCY_CODES[self.codes[index]]
+
+    def rejection(self, index: int) -> Tuple[str, Dict[str, Any], str]:
+        """``(message, context, code)`` of a rejected lane, exactly as
+        :func:`repro.gpu.simulator.plan_occupancy` raises it.
+
+        The evaluation engine has already screened and counted the lane
+        by :meth:`code` when this runs, so there is no scalar fallback
+        left: a code that disagrees with the scalar model's is fatal
+        (AssertionError).  ``tests/gpu/test_pricing.py`` checks the code
+        column against the scalar rule on every device profile.
+        """
+        compiled, threads, _, shmem = self._launch
+        rejection = _occupancy_rejection(
+            self.device, int(threads[index]), int(compiled[index]),
+            int(shmem[index]),
+        )
+        if rejection is None or rejection[2] != self.code(index):
+            raise AssertionError(  # pragma: no cover - parity guard
+                "vectorized occupancy disagrees with the scalar model"
+            )
+        return rejection
+
+    def result(self, index: int) -> Optional[SimulationResult]:
+        """Lane ``index``'s :class:`SimulationResult` (None if rejected)."""
+        if not self.feasible[index]:
+            return None
+        built = self._results.get(index)
+        if built is None:
+            built = self._results[index] = self._build(index)
+        return built
+
+    def _build(self, i: int) -> SimulationResult:
+        compiled, threads, blocks, shmem = self._launch
+        occ, counters, timing = self._occ, self._counters, self._timing
+        occupancy = OccupancyResult(
+            blocks_per_sm=int(occ["blocks_psm"][i]),
+            active_warps=int(occ["warps"][i]),
+            occupancy=float(occ["occ_frac"][i]),
+            limiter=_LIMITERS[int(occ["limiter"][i])],
+            warp_size=self.device.warp_size,
+        )
+        kc = KernelCounters(
+            flops=float(counters["flops"][i]),
+            useful_flops=counters["useful"],
+            dram_read_bytes=float(counters["dram_read"][i]),
+            dram_write_bytes=float(counters["dram_write"][i]),
+            tex_bytes=float(counters["tex"][i]),
+            shm_bytes=float(counters["shm"][i]),
+            spill_bytes=float(counters["spill"][i]),
+            blocks=int(blocks[i]),
+            threads_per_block=int(threads[i]),
+            regs_per_thread=int(compiled[i]),
+            regs_demand=int(self.demand[i]),
+            shmem_per_block=int(shmem[i]),
+            syncs=float(counters["syncs"][i]),
+        )
+        tb = TimingBreakdown(
+            compute_s=float(timing["compute"][i]),
+            dram_s=float(timing["dram"][i]),
+            tex_s=float(timing["tex"][i]),
+            shm_s=float(timing["shm"][i]),
+            sync_s=float(timing["sync"][i]),
+            latency_s=float(timing["latency"][i]),
+            launch_s=timing["launch"],
+            bubble_s=float(timing["bubble"][i]),
+        )
+        return SimulationResult(counters=kc, occupancy=occupancy, timing=tb)
 
 
 @dataclass(frozen=True)
@@ -241,6 +439,11 @@ class FamilyStructure:
         self.domain_points = 1
         for extent in self.domain:
             self.domain_points *= extent
+        self.chunks = (
+            proto.concurrent_chunks
+            if proto.streaming == STREAM_CONCURRENT
+            else 1
+        )
         geo = launch_geometry(ir, proto)
         self.sweep_length = geo.sweep_length  # structural: chunks fixed
         self.intermediates = intermediate_arrays(ir, proto)
@@ -525,7 +728,7 @@ class FamilyStructure:
     # lane-array computation
     # ------------------------------------------------------------------
 
-    def _base(self, plans: Sequence[KernelPlan]) -> dict:
+    def _base(self, grid: LaneGrid) -> dict:
         """Per-lane geometry scalars.
 
         Replays ``tiling._launch_geometry`` over the lane axis: the
@@ -533,53 +736,47 @@ class FamilyStructure:
         structural constants, so only the block/unroll tuples need
         gathering per lane — everything downstream is exact int64 array
         arithmetic (products and ``-(-a // b)`` ceil-division match the
-        scalar path bit for bit).
+        scalar path bit for bit).  Per-tuple quantities are computed
+        once per distinct tuple and gathered by the lane indexes.
         """
-        n = len(plans)
+        n = len(grid)
         ndim = self.ndim
-        proto = plans[0]
         tiled = (
             tuple(a for a in range(ndim) if a != self.stream_axis)
             if self.streaming
             else tuple(range(ndim))
         )
-        # -- gather the varying grid fields (the only python-level pass)
-        unroll = np.ones((ndim, n), _I8)
-        for axis in range(ndim):
-            unroll[axis] = [
-                p.unroll[axis] if axis < len(p.unroll) else 1 for p in plans
-            ]
-        bt = np.ones((len(tiled), n), _I8)  # threads per tiled position
-        for pos in range(len(tiled)):
-            bt[pos] = [
-                p.block[pos] if pos < len(p.block) else 1 for p in plans
-            ]
+        # -- the distinct grid tuples, gathered per lane
+        unroll_table = np.ones((ndim, len(grid.unrolls)), _I8)
+        for j, factors in enumerate(grid.unrolls):
+            for axis in range(min(ndim, len(factors))):
+                unroll_table[axis, j] = factors[axis]
+        unroll = unroll_table[:, grid.unroll_index]
+        block_table = np.ones((len(tiled), len(grid.blocks)), _I8)
+        for j, block in enumerate(grid.blocks):
+            for pos in range(min(len(tiled), len(block))):
+                block_table[pos, j] = block[pos]
+        bt = block_table[:, grid.block_index]  # threads per tiled position
         # exact int products of the full tuples (may exceed the tiled
         # axis count; extra entries still count, as in the scalar code)
-        tunroll = np.asarray(
-            [math.prod(p.unroll) for p in plans], dtype=_I8
-        )
-        ublocked = np.asarray([p.unroll_blocked for p in plans], dtype=bool)
-        maxreg = np.asarray([p.max_registers for p in plans], dtype=_I8)
+        unroll_totals = [math.prod(factors) for factors in grid.unrolls]
+        tunroll = np.asarray(unroll_totals, dtype=_I8)[grid.unroll_index]
+        ublocked = grid.unroll_blocked
+        maxreg = grid.max_registers
         # -- tile extents and block decomposition
         tile = np.empty((ndim, n), _I8)
         blocks = np.ones(n, _I8)
-        chunks = (
-            proto.concurrent_chunks
-            if proto.streaming == STREAM_CONCURRENT
-            else 1
-        )
         for pos, axis in enumerate(tiled):
             tile[axis] = bt[pos] * unroll[axis]
             blocks = blocks * (-(-self.domain[axis] // tile[axis]))
         if self.streaming:
             tile[self.stream_axis] = self.sweep_length
-            blocks = blocks * chunks
+            blocks = blocks * self.chunks
         # -- threads per block (tiling._threads_per_block)
         if self.perspective == PERSPECTIVE_OUTPUT:
             threads = np.asarray(
-                [math.prod(p.block) for p in plans], dtype=_I8
-            )
+                [math.prod(block) for block in grid.blocks], dtype=_I8
+            )[grid.block_index]
         else:
             halo = self.stages[0].halo
             innermost = tiled[-1] if tiled else ndim - 1
@@ -592,14 +789,16 @@ class FamilyStructure:
                     threads = threads * (
                         bt[pos] + ((lo + hi) if axis == innermost else 0)
                     )
-        ilp = np.empty(n, _F8)
-        for i in range(n):
-            # math.log2 per lane: identical libm path to the scalar code
-            # (np.log2 could round differently on exotic platforms).
-            value = 1.0 + 0.4 * math.log2(max(1, int(tunroll[i])))
+        ilp_of = []
+        for total in unroll_totals:
+            # math.log2 per distinct unroll: identical libm path to the
+            # scalar code (np.log2 could round differently on exotic
+            # platforms).
+            value = 1.0 + 0.4 * math.log2(max(1, total))
             if self.prefetch:
                 value += 0.3
-            ilp[i] = value
+            ilp_of.append(value)
+        ilp = np.asarray(ilp_of, dtype=_F8)[grid.unroll_index]
         return {
             "n": n,
             "tile": tile,
@@ -865,33 +1064,32 @@ class FamilyStructure:
     # public lane APIs
     # ------------------------------------------------------------------
 
-    def demand(self, plans: Sequence[KernelPlan]) -> np.ndarray:
+    def demand(self, lanes: Lanes) -> np.ndarray:
         """Register demand per lane (== ``register_demand`` per plan)."""
-        base = self._base(plans)
+        base = self._base(_grid(lanes))
         winners = self._winners(base)
         return self._register_demand(base, winners)
 
-    def price(
-        self, plans: Sequence[KernelPlan], device: DeviceSpec = P100
-    ) -> List[PricedLane]:
-        """Price every lane; see :class:`PricedLane` for the contract."""
+    def price(self, lanes: Lanes, device: DeviceSpec = P100) -> PricedLanes:
+        """Price every lane (plans, or a :class:`LaneGrid`)."""
         global _PRICED_LANES
-        if not plans:
+        grid = _grid(lanes)
+        n = len(grid)
+        if not n:
             return []
-        n = len(plans)
         _PRICED_LANES += n
         if _metrics_enabled():
             _obs_counter("pricing.family_calls").add()
             _obs_counter("pricing.lanes").add(n)
         with _span("price_family", lanes=n):
-            return self._price(plans, device)
+            return self._price(grid, device)
 
     def price_spill_free(
         self,
-        plans: Sequence[KernelPlan],
+        lanes: Lanes,
         levels: Sequence[int],
         device: DeviceSpec = P100,
-    ) -> Tuple[np.ndarray, np.ndarray, List[PricedLane]]:
+    ) -> Tuple[np.ndarray, np.ndarray, PricedLanes]:
         """Resolve the register ladder and price each chosen rung, in
         one pass over the family axis.
 
@@ -900,8 +1098,7 @@ class FamilyStructure:
         then the price of each lane at its chosen rung.  Doing those as
         two separate calls rebuilds the per-lane geometry twice; here the
         base arrays are computed once, the rung is resolved vectorized,
-        and the ``max_registers`` axis is overridden in the lane arrays
-        before pricing — the plan objects are never copied.
+        and the ``max_registers`` column is overridden before pricing.
 
         Returns ``(demands, positions, lanes)``: ``positions[i]`` is the
         index into ``levels`` of the first rung with ``demands[i] <=
@@ -911,34 +1108,31 @@ class FamilyStructure:
         original cap) so indices stay aligned; callers discard them.
         """
         global _PRICED_LANES
-        base = self._base(plans)
+        base = self._base(_grid(lanes))
         winners = self._winners(base)
         demands = self._register_demand(base, winners)
         n = base["n"]
-        positions = np.full(n, -1, dtype=_I8)
+        positions = resolve_rungs(demands, levels)
         resolved = base["maxreg"].copy()
         for j, lv in enumerate(levels):
-            fresh = (positions < 0) & (demands <= lv)
-            positions[fresh] = j
-            resolved[fresh] = lv
+            resolved[positions == j] = lv
         base = dict(base, maxreg=resolved)
         _PRICED_LANES += n
         if _metrics_enabled():
             _obs_counter("pricing.family_calls").add()
             _obs_counter("pricing.lanes").add(n)
         with _span("price_family", lanes=n):
-            lanes = self._price(plans, device, base=base)
+            lanes = self._price(None, device, base=base)
         return demands, positions, lanes
 
     def _price(
         self,
-        plans: Sequence[KernelPlan],
+        grid: Optional[LaneGrid],
         device: DeviceSpec,
         base: Optional[dict] = None,
-    ) -> List[PricedLane]:
+    ) -> PricedLanes:
         if base is None:
-            base = self._base(plans)
-        n = base["n"]
+            base = self._base(grid)
         winners = self._winners(base)
         inter_arrays = self._inter_arrays(base)
         demand = self._register_demand(base, winners)
@@ -950,73 +1144,10 @@ class FamilyStructure:
             device, base, winners, demand, compiled, shmem, occ
         )
         timing = self._timing_lanes(device, base, counters, shmem, occ)
-
-        lanes: List[PricedLane] = []
-        limiter_names = ("threads", "blocks", "registers", "shmem")
-        for i in range(n):
-            lane_demand = int(demand[i])
-            if occ["infeasible"][i]:
-                rejection = _occupancy_rejection(
-                    device, int(base["threads"][i]), int(compiled[i]),
-                    int(shmem[i]),
-                )
-                if rejection is None:  # pragma: no cover - parity guard
-                    raise AssertionError(
-                        "vectorized occupancy flagged a lane the scalar "
-                        "model accepts"
-                    )
-                message, context, code = rejection
-                lanes.append(
-                    PricedLane(
-                        demand=lane_demand,
-                        result=None,
-                        occ_message=message,
-                        occ_context=context,
-                        occ_code=code,
-                    )
-                )
-                continue
-            occ_result = OccupancyResult(
-                blocks_per_sm=int(occ["blocks_psm"][i]),
-                active_warps=int(occ["warps"][i]),
-                occupancy=float(occ["occ_frac"][i]),
-                limiter=limiter_names[int(occ["limiter"][i])],
-                warp_size=device.warp_size,
-            )
-            kc = KernelCounters(
-                flops=float(counters["flops"][i]),
-                useful_flops=counters["useful"],
-                dram_read_bytes=float(counters["dram_read"][i]),
-                dram_write_bytes=float(counters["dram_write"][i]),
-                tex_bytes=float(counters["tex"][i]),
-                shm_bytes=float(counters["shm"][i]),
-                spill_bytes=float(counters["spill"][i]),
-                blocks=int(base["blocks"][i]),
-                threads_per_block=int(base["threads"][i]),
-                regs_per_thread=int(compiled[i]),
-                regs_demand=lane_demand,
-                shmem_per_block=int(shmem[i]),
-                syncs=float(counters["syncs"][i]),
-            )
-            tb = TimingBreakdown(
-                compute_s=float(timing["compute"][i]),
-                dram_s=float(timing["dram"][i]),
-                tex_s=float(timing["tex"][i]),
-                shm_s=float(timing["shm"][i]),
-                sync_s=float(timing["sync"][i]),
-                latency_s=float(timing["latency"][i]),
-                launch_s=timing["launch"],
-                bubble_s=float(timing["bubble"][i]),
-            )
-            lanes.append(
-                PricedLane(
-                    demand=lane_demand,
-                    result=SimulationResult(
-                        counters=kc, occupancy=occ_result, timing=tb
-                    ),
-                )
-            )
-        return lanes
+        return PricedLanes(
+            device, demand, compiled, base["threads"], base["blocks"],
+            shmem, occ, counters, timing,
+        )
 
     # -- occupancy over lanes (mirrors occupancy.occupancy) --------------
 
@@ -1051,13 +1182,15 @@ class FamilyStructure:
         limits = np.stack([lim_threads, lim_blocks, lim_regs, lim_shm])
         blocks_psm = limits.min(axis=0)
         limiter = limits.argmin(axis=0)  # first-min == dict-order min
-        infeasible = (
-            (threads < 1)
-            | (threads > device.max_threads_per_block)
-            | (shmem > device.shared_mem_per_block)
-            | (regs > device.max_registers_per_thread)
-            | (blocks_psm < 1)
-        )
+        # The scalar model's checks, last first, so the first failing
+        # check names the lane's rule code (classify_occupancy_failure).
+        code = np.zeros(threads.shape, np.int8)
+        no_block = blocks_psm < 1
+        code[no_block] = _LIMITER_CODES[limiter[no_block]]
+        code[regs > device.max_registers_per_thread] = _RL203
+        code[shmem > device.shared_mem_per_block] = _RL201
+        code[(threads < 1) | (threads > device.max_threads_per_block)] = _RL202
+        infeasible = code != 0
         limiter = np.where(
             (blocks_psm == device.max_blocks_per_sm) & (limiter != 1),
             1,
@@ -1069,6 +1202,7 @@ class FamilyStructure:
         occ_frac = warps / device.max_warps_per_sm
         return {
             "infeasible": infeasible,
+            "code": code,
             "blocks_psm": blocks_psm,
             "blocks_safe": blocks_safe,
             "warps": warps,
@@ -1515,8 +1649,32 @@ class Quote(NamedTuple):
         return price_plan(self.ir, self.plan, self.device)
 
 
-def _rung(demand: int, levels: Sequence[int]) -> int:
-    return next((j for j, lv in enumerate(levels) if demand <= lv), -1)
+def resolve_rungs(demands: np.ndarray, levels: Sequence[int]) -> np.ndarray:
+    """The index of each lane's first level that holds its register
+    demand, -1 where every level spills."""
+    positions = np.full(len(demands), -1, dtype=_I8)
+    for j, lv in enumerate(levels):
+        positions[(positions < 0) & (demands <= lv)] = j
+    return positions
+
+
+def _family_pass(n: int, run: Callable[[], Any]) -> Any:
+    """``run()``, the vectorized pass over an ``n``-lane family, or None
+    where the family is priced by the scalar model instead.
+
+    The scalar-or-vector choice lives here: below :data:`MIN_FAMILY`
+    lanes or under :func:`scalar_pricing` the pass does not run, and if
+    it raises, the family falls back to the scalar model (counted as
+    ``pricing.scalar_fallbacks``).
+    """
+    if n < MIN_FAMILY or _SCALAR_ONLY:
+        return None
+    try:
+        return run()
+    except Exception:  # noqa: BLE001 — the scalar model is the oracle
+        if _metrics_enabled():
+            _obs_counter("pricing.scalar_fallbacks").add()
+        return None
 
 
 def price(
@@ -1528,55 +1686,98 @@ def price(
 ) -> List[Quote]:
     """Quote plans that share one structural key, in input order.
 
-    The scalar-or-vector choice lives here: below :data:`MIN_FAMILY`
-    plans (or under :func:`scalar_pricing`) each quote prices its plan
-    with the scalar model when asked; at or above it, one family pass
-    prices every lane up front, and if that pass raises, the family is
-    quoted scalar instead (counted as ``pricing.scalar_fallbacks``).
+    At or above :data:`MIN_FAMILY` plans one family pass prices every
+    lane up front; otherwise (see :func:`_family_pass`) each quote
+    prices its plan with the scalar model when asked.
 
     ``levels`` resolves the register ladder: each plan is quoted at its
-    first non-spilling rung.  ``held`` names plans whose price the
-    caller already has; the family pass leaves them out (with
-    ``levels``, only when every plan is held: the pass that resolves
-    the rungs prices the lanes in the same sweep).
+    first non-spilling rung (through :func:`price_lanes`).  ``held``
+    names plans whose price the caller already has; the family pass
+    leaves them out (with ``levels``, only when every plan is held: the
+    pass that resolves the rungs prices the lanes in the same sweep).
     """
-    family = None
-    if len(plans) >= MIN_FAMILY and not _SCALAR_ONLY:
-        try:
-            family = _family_pass(ir, plans, device, levels, held)
-        except Exception:  # noqa: BLE001 — the scalar model is the oracle
-            if _metrics_enabled():
-                _obs_counter("pricing.scalar_fallbacks").add()
-    if family is not None:
-        demands, rungs, lanes = family
-    elif levels is None:
-        demands = rungs = lanes = [None] * len(plans)
-    else:
-        demands = [plan_prefix(ir, plan).reg_demand for plan in plans]
-        rungs = [_rung(demand, levels) for demand in demands]
-        lanes = [None] * len(plans)
-    quotes = []
-    for plan, demand, rung, lane in zip(plans, demands, rungs, lanes):
-        if levels is not None and rung >= 0:
-            plan = plan.replace(max_registers=levels[rung])
-        quotes.append(Quote(plan, demand, rung, lane, ir, device))
-    return quotes
+    if levels is not None:
+        quote = price_lanes(
+            ir, plans[0], LaneGrid.of(plans), device, levels,
+            screened=all(p in held for p in plans),
+        )
+        if quote is None:
+            return scalar_quotes(ir, plans, device, levels)
+        demands, rungs, lanes = quote
+        quotes = []
+        for i, (plan, demand, rung) in enumerate(
+            zip(plans, demands.tolist(), rungs.tolist())
+        ):
+            if rung >= 0:
+                plan = plan.replace(max_registers=levels[rung])
+            lane = None if lanes is None else lanes[i]
+            quotes.append(Quote(plan, demand, rung, lane, ir, device))
+        return quotes
+    fresh = list(dict.fromkeys(p for p in plans if p not in held))
+    lanes = _family_pass(
+        len(plans),
+        lambda: family_structure(ir, plans[0]).price(fresh, device),
+    )
+    if lanes is None:
+        return scalar_quotes(ir, plans, device)
+    priced = dict(zip(fresh, lanes))
+    return [
+        Quote(plan, None, None, priced.get(plan), ir, device)
+        for plan in plans
+    ]
 
 
-def _family_pass(ir, plans, device, levels, held):
-    """``(demands, rungs, lanes)`` for :func:`price`, from one vector pass."""
-    structure = family_structure(ir, plans[0])
+def scalar_quotes(
+    ir: ProgramIR,
+    plans: Sequence[KernelPlan],
+    device: DeviceSpec = P100,
+    levels: Optional[Sequence[int]] = None,
+) -> List[Quote]:
+    """:func:`price`'s answer with every plan priced by the scalar model
+    on request (with ``levels``, each rung resolved from the plan's
+    register demand up front)."""
     if levels is None:
-        fresh = list(dict.fromkeys(p for p in plans if p not in held))
-        priced = dict(zip(fresh, structure.price(fresh, device)))
-        none = [None] * len(plans)
-        return none, none, [priced.get(p) for p in plans]
-    if all(p in held for p in plans):
-        demands = [int(d) for d in structure.demand(plans)]
-        rungs = [_rung(d, levels) for d in demands]
-        return demands, rungs, [None] * len(plans)
-    demands, rungs, lanes = structure.price_spill_free(plans, levels, device)
-    return [int(d) for d in demands], [int(r) for r in rungs], lanes
+        return [Quote(plan, None, None, None, ir, device) for plan in plans]
+    demands = [plan_prefix(ir, plan).reg_demand for plan in plans]
+    rungs = resolve_rungs(np.asarray(demands, _I8), levels).tolist()
+    return [
+        Quote(
+            plan.replace(max_registers=levels[rung]) if rung >= 0 else plan,
+            demand, rung, None, ir, device,
+        )
+        for plan, demand, rung in zip(plans, demands, rungs)
+    ]
+
+
+def price_lanes(
+    ir: ProgramIR,
+    proto: KernelPlan,
+    grid: LaneGrid,
+    device: DeviceSpec,
+    levels: Sequence[int],
+    screened: bool = False,
+) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[PricedLanes]]]:
+    """One structural family's spill-free quote as lane arrays.
+
+    ``(demands, rungs, lanes)`` from one family pass over ``grid``
+    (``proto`` names the structure): the register demand, the index of
+    the chosen rung in ``levels`` (-1 where every level spills) and the
+    prices at that rung.  A ``screened`` family is never priced, so only
+    its demands and rungs are computed and ``lanes`` is None.
+
+    Returns None where the family is priced by the scalar model (see
+    :func:`_family_pass`); the caller then quotes it with
+    :func:`scalar_quotes`.
+    """
+
+    def run():
+        structure = family_structure(ir, proto)
+        if screened:
+            demands = structure.demand(grid)
+            return demands, resolve_rungs(demands, levels), None
+        return structure.price_spill_free(grid, levels, device)
+
+    return _family_pass(len(grid), run)
 
 
 def _expand_grid(family: KernelPlan, grid: Dict[str, Sequence]) -> List[KernelPlan]:
@@ -1627,7 +1828,7 @@ def price_family(
                 f"key; {plan.describe()!r} differs from the family's"
             )
     structure = family_structure(ir, proto)
-    lanes = structure.price(plans, device)
+    lanes = tuple(structure.price(plans, device))
     table = np.zeros(len(lanes), dtype=_TABLE_DTYPE)
     for i, lane in enumerate(lanes):
         row = table[i]
@@ -1652,4 +1853,4 @@ def price_family(
         row["spill_bytes"] = result.counters.spill_bytes
         row["time_s"] = result.time_s
         row["tflops"] = result.tflops
-    return FamilyPricing(plans=tuple(plans), lanes=tuple(lanes), table=table)
+    return FamilyPricing(plans=tuple(plans), lanes=lanes, table=table)

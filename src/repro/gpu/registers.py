@@ -32,7 +32,7 @@ from ..codegen.tiling import (
     stream_window,
 )
 from ..dsl.ast import array_accesses
-from ..ir.analysis import access_summary, memoized
+from ..ir.analysis import memoized
 from ..ir.stencil import ProgramIR, StencilInstance
 
 #: Fixed cost: threadIdx/blockIdx math, guards, base pointers, constants.

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..codegen.plan import KernelPlan, PERSPECTIVE_OUTPUT
 from ..codegen.tiling import (
@@ -550,32 +550,47 @@ def _buffered_shm_traffic(
 
 def _inplane_distinct_reads(ir, stage, array, stream_axis: int) -> int:
     """Distinct read offsets with the stream component dropped."""
-    seen = set()
-    for pattern in access_patterns(ir, stage.instance):
-        if pattern.array != array or pattern.is_write:
-            continue
-        inplane = tuple(
-            offset
-            for axis, offset in enumerate(pattern.axis_offsets)
-            if axis != stream_axis
-        )
-        seen.add(inplane)
-    return len(seen)
+
+    def compute() -> int:
+        seen = set()
+        for pattern in access_patterns(ir, stage.instance):
+            if pattern.array != array or pattern.is_write:
+                continue
+            inplane = tuple(
+                offset
+                for axis, offset in enumerate(pattern.axis_offsets)
+                if axis != stream_axis
+            )
+            seen.add(inplane)
+        return len(seen)
+
+    return memoized(
+        "inplane_reads", stage.instance, compute, key=(array, stream_axis),
+        observe=None,
+    )
 
 
 def _center_plane_reads(ir, plan, stage, array) -> int:
-    count = 0
-    seen = set()
-    for pattern in access_patterns(ir, stage.instance):
-        if pattern.array != array or pattern.is_write:
-            continue
-        if pattern.axis_offsets in seen:
-            continue
-        seen.add(pattern.axis_offsets)
-        stream_offset = pattern.axis_offsets[plan.stream_axis]
-        if stream_offset in (None, 0):
-            count += 1
-    return count
+    """Distinct read offsets in the stream axis's center plane."""
+    stream_axis = plan.stream_axis
+
+    def compute() -> int:
+        count = 0
+        seen = set()
+        for pattern in access_patterns(ir, stage.instance):
+            if pattern.array != array or pattern.is_write:
+                continue
+            if pattern.axis_offsets in seen:
+                continue
+            seen.add(pattern.axis_offsets)
+            if pattern.axis_offsets[stream_axis] in (None, 0):
+                count += 1
+        return count
+
+    return memoized(
+        "center_reads", stage.instance, compute, key=(array, stream_axis),
+        observe=None,
+    )
 
 
 _gmem_loads_per_point = gmem_loads_per_point

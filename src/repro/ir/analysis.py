@@ -9,7 +9,7 @@ operational intensity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dsl.ast import (
     ArrayAccess,
@@ -25,7 +25,6 @@ from ..dsl.ast import (
 from ..obs import counter as _counter, metrics_enabled as _metrics_enabled
 from ..obs import span as _span
 from .stencil import ProgramIR, Statement, StencilInstance
-from .types import sizeof
 
 # ---------------------------------------------------------------------------
 # memoization pinned on the immutable IR

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..dsl.ast import ArrayAccess, BinOp, Expr, Name, UnaryOp
+from ..dsl.ast import BinOp, Expr, Name, UnaryOp
 from .stencil import Statement, StencilInstance
 
 

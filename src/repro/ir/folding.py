@@ -18,8 +18,6 @@ from ..dsl.ast import (
     BinOp,
     Call,
     Expr,
-    Name,
-    Num,
     UnaryOp,
 )
 from .stencil import Statement, StencilInstance

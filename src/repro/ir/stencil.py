@@ -9,7 +9,7 @@ optimizations and code generation operate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..dsl.ast import (

@@ -16,7 +16,7 @@ tuning engine's hot prescreen path and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..dsl.ast import SourceSpan

@@ -13,16 +13,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..dsl.ast import (
-    ArrayAccess,
-    Assignment,
-    LocalDecl,
     Program,
-    StencilDef,
     array_accesses,
     span_of,
 )
 from ..ir.stencil import ProgramIR, StencilInstance
-from .diagnostics import Diagnostic, ERROR, INFO, WARNING, rule
+from .diagnostics import Diagnostic, ERROR, WARNING, rule
 
 RL101 = rule(
     "RL101", "syntax-error", ERROR,

@@ -51,7 +51,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.errors import UsageError
 

@@ -18,7 +18,7 @@ Steps, mirroring the paper's summary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from ..codegen.generator import lower, schedule_tflops

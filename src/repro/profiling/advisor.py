@@ -8,7 +8,7 @@ rule below is one bullet of Section IV-A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..codegen.plan import KernelPlan

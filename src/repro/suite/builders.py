@@ -7,7 +7,7 @@ to construct the 11 evaluation benchmarks with controlled FLOP counts.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 AXES = ("k", "j", "i")
 

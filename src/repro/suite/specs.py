@@ -20,7 +20,7 @@ Table I's "# IO Arrays" counts full-rank (3-D) arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .builders import (
     at,

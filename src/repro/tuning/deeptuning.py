@@ -33,7 +33,7 @@ from ..resilience.checkpoint import (
 )
 from ..resilience.errors import UsageError
 from .evaluator import EvalStats, Measurement, PlanEvaluator
-from .hierarchical import HierarchicalTuner, TuningResult
+from .hierarchical import HierarchicalTuner
 
 #: Hard cap on explored fusion degrees ("usually k <= 4 for most order-1
 #: stencils, and much smaller for high-order stencils").

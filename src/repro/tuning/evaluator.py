@@ -14,16 +14,29 @@ one plan or a batch, plain or spill-free — runs the same pipeline:
 2. **validate** each family and run its **legality screen**
    (:func:`~repro.lint.rules_plan.fusion_rejection`: the RL3xx
    certifier) once — both are family-stable;
-3. **filter the memo** — results are cached by a content address
-   (plan fingerprint + IR identity + device), so duplicate variants are
-   never priced twice; memoized and fresh paths return the very same
-   :class:`SimulationResult` objects;
-4. **price** through :func:`repro.gpu.pricing.price`, which picks the
-   scalar model or one vectorized family pass and, in spill-free mode,
-   resolves the paper's register ladder (32 → 64 → 128 → 255) from the
+3. **filter the memo** — results are cached under
+   ``(IR identity, device, plan family, max_registers)``, so duplicate
+   variants are never priced twice; memoized and fresh paths return the
+   very same :class:`SimulationResult` objects;
+4. **price** one vectorized family pass or the scalar model (the
+   choice is :mod:`repro.gpu.pricing`'s), in spill-free mode resolving
+   the paper's register ladder (32 → 64 → 128 → 255) from the
    register-independent demand instead of simulating spilling rungs;
-5. **finalize** each lane as one request: occupancy screen, fault
+5. **finalize** each candidate as one request: occupancy screen, fault
    injection, memo write, one search-log event, stats.
+
+:meth:`PlanEvaluator.evaluate_spill_free_batch` — the tuners' hot path —
+runs the pipeline on **lanes**: a family's candidates stay index
+columns (a :class:`~repro.tuning.space.CandidateTable` or the grid of a
+plan list), its occupancy and RL3xx screens stay a mask and a code
+array, and the batch is finalized in one pass that bumps the counters
+by totals.  Plans, results and ``PlanInfeasible`` exceptions are built
+only for what a caller reads: a candidate the tuner keeps, a memo entry
+read again, a search-log event or a journal record.  Where
+per-candidate behaviour is observable — fault injection, timeouts, a
+non-default ``on_error``, the reference and degraded paths — and for
+families the scalar model prices, each candidate runs as its own
+guarded request instead.
 
 Batches run serially, in input order, in the caller's process: pricing
 one candidate costs tens of microseconds, so worker start-up and the
@@ -54,21 +67,28 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
 from ..codegen.resources import InvalidPlan, validate_plan
-from ..codegen.tiling import plan_family_key, plan_structural_key
+from ..codegen.tiling import (
+    family_key_factory,
+    plan_family_key,
+    plan_structural_key,
+)
 from ..gpu.counters import SimulationResult
 from ..gpu.device import DeviceSpec, P100
-from ..gpu.pricing import price
+from ..gpu.pricing import LaneGrid, price, price_lanes, scalar_quotes
 from ..gpu.simulator import PlanInfeasible, simulate
 from ..ir.stencil import ProgramIR
 from ..lint.rules_plan import _count_rejection, fusion_rejection
-from ..obs import span as _span
+from ..obs import metrics_enabled as _metrics_enabled, span as _span
 from ..obs.search import SearchLog
 from ..resilience import (
     ON_ERROR_POLICIES,
@@ -79,6 +99,7 @@ from ..resilience import (
     RetryPolicy,
     UsageError,
 )
+from .space import CandidateTable
 
 #: Exceptions that mark a candidate as infeasible rather than a bug.
 INFEASIBLE = (PlanInfeasible, InvalidPlan)
@@ -294,6 +315,157 @@ def plan_fingerprint(plan: KernelPlan, include_registers: bool = True) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+class SpillFreeBatch(SequenceABC):
+    """:meth:`PlanEvaluator.evaluate_spill_free_batch`'s answer.
+
+    ``batch[i]`` is candidate ``i``'s ``(resolved plan, result)`` pair,
+    or None when it was infeasible or spilled at every level; a pair the
+    lane path priced is built on first read (and the same object is
+    returned after).  ``time_s`` is the column of result times, inf
+    where the answer is None, so callers can rank a batch without
+    building its pairs.  Compares equal to a list of the same pairs.
+    """
+
+    def __init__(self, items: list, time_s: np.ndarray, lane_of=None):
+        # ``items[i]`` is the answer, or the _LaneFamily whose lane
+        # ``lane_of[i]`` builds it.
+        self._items = items
+        self._lane_of = lane_of
+        self.time_s = time_s
+
+    @classmethod
+    def of(cls, items: list) -> "SpillFreeBatch":
+        return cls(
+            items,
+            np.asarray(
+                [np.inf if item is None else item[1].time_s for item in items],
+                dtype=np.float64,
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        item = self._items[index]
+        if type(item) is _LaneFamily:
+            position = index % len(self)
+            item = self._items[index] = item.answer(
+                position, self._lane_of[position]
+            )
+        return item
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"SpillFreeBatch({list(self)!r})"
+
+
+class _LaneFamily:
+    """One structural family of a lane batch: its candidates' source and
+    positions, how it was screened, and its quote as Python lists."""
+
+    def __init__(self, plans, positions, grid, proto, levels):
+        self.plans = plans
+        self.positions = positions
+        self.grid = grid
+        self.proto = proto
+        self.levels = levels
+        self.invalid: Optional[BaseException] = None
+        self.screen = None
+        self.jobs: Optional[List] = None  # guarded per-candidate jobs
+        self.lanes = None
+        self.demands: List[int] = []
+        self.rungs: List[int] = []
+        self.feasible: List[bool] = []
+        self.keys: List[Optional[tuple]] = []
+        self.time_s = np.full(len(positions), np.inf)
+
+    def quoted(self, ir, device, demands, rungs, lanes) -> None:
+        """Take the family's quote, and key each lane's memo entry
+        (None where every rung spills and there is no request)."""
+        self.demands = demands.tolist()
+        self.rungs = rungs.tolist()
+        self.lanes = lanes
+        if lanes is None:  # screened: never priced
+            self.feasible = [False] * len(self.rungs)
+        else:
+            self.feasible = lanes.feasible.tolist()
+            self.time_s = np.where(
+                (rungs >= 0) & lanes.feasible, lanes.time_s, np.inf
+            )
+        key = family_key_factory(self.proto)
+        blocks, unrolls = self.grid.blocks, self.grid.unrolls
+        levels = self.levels
+        irid = id(ir)
+        self.keys = [
+            (irid, device, key(blocks[b], unrolls[u], blocked), levels[rung])
+            if rung >= 0
+            else None
+            for b, u, blocked, rung in zip(
+                self.grid.block_index.tolist(),
+                self.grid.unroll_index.tolist(),
+                self.grid.unroll_blocked.tolist(),
+                self.rungs,
+            )
+        ]
+
+    def resolved(self, position: int, i: int) -> KernelPlan:
+        """The plan at ``position`` capped at lane ``i``'s rung."""
+        return self.plans[position].replace(
+            max_registers=self.levels[self.rungs[i]]
+        )
+
+    def answer(
+        self, position: int, i: int
+    ) -> Tuple[KernelPlan, SimulationResult]:
+        """A priced lane's ``(resolved plan, result)``."""
+        return self.resolved(position, i), self.lanes.result(i)
+
+    def rejection(self, i: int) -> PlanInfeasible:
+        """The exception a screened lane's request raises."""
+        if self.screen is not None:
+            code, message = self.screen.code, self.screen.message
+            witness = self.screen.witness
+        else:
+            message, _, code = self.lanes.rejection(i)
+            witness = None
+        # RL3xx refutations carry a counterexample (grid point + event
+        # pair); thread it into the exception context so batch
+        # telemetry can show *why* the plan is illegal.
+        return PlanInfeasible(
+            f"[{code}] {message}",
+            rule=code,
+            witness=witness.describe() if witness is not None else None,
+        )
+
+
+class _LaneEntry:
+    """A memo entry the lane path wrote: the lane's ``(status, value)``,
+    built on first read."""
+
+    __slots__ = ("family", "index", "outcome")
+
+    def __init__(self, family: _LaneFamily, index: int):
+        self.family = family
+        self.index = index
+        self.outcome: Optional[tuple] = None
+
+    def resolve(self) -> tuple:
+        if self.outcome is None:
+            family, i = self.family, self.index
+            if family.screen is None and family.feasible[i]:
+                self.outcome = ("ok", family.lanes.result(i))
+            else:
+                self.outcome = ("fail", family.rejection(i))
+        return self.outcome
+
+
 class PlanEvaluator:
     """Single evaluation front-end for every tuner and baseline.
 
@@ -427,27 +599,48 @@ class PlanEvaluator:
         """
         depth = getattr(self._depth, "value", 0)
         self._depth.value = depth + 1
-        if depth > 0:
-            try:
-                yield
-            finally:
-                self._depth.value = depth
-            return
-        start = time.perf_counter()
+        if depth == 0:
+            self._open_frame()
+        try:
+            yield
+        finally:
+            self._depth.value = depth
+            if depth == 0:
+                self._close_frame()
+
+    def _open_frame(self) -> None:
+        start = self._depth.start = time.perf_counter()
         with self._lock:
             if self._busy == 0:
                 self._busy_open = start
             self._busy += 1
-        try:
-            yield
-        finally:
-            end = time.perf_counter()
-            self._depth.value = depth
-            with self._lock:
-                self.stats.cpu_s += end - start
-                self._busy -= 1
-                if self._busy == 0:
-                    self.stats.wall_s += end - self._busy_open
+
+    def _close_frame(self) -> None:
+        end = time.perf_counter()
+        with self._lock:
+            self.stats.cpu_s += end - self._depth.start
+            self._busy -= 1
+            if self._busy == 0:
+                self.stats.wall_s += end - self._busy_open
+
+    def _untimed(self, callback):
+        """``callback``, run outside this thread's outermost engine
+        frame: a caller's ``on_result`` inside a timed lane batch is not
+        billed as engine time, as it is not between per-candidate jobs.
+        """
+
+        def run(*args):
+            if getattr(self._depth, "value", 0) != 1:
+                return callback(*args)
+            self._close_frame()
+            self._depth.value = 0
+            try:
+                return callback(*args)
+            finally:
+                self._depth.value = 1
+                self._open_frame()
+
+        return run
 
     # -- entry points ----------------------------------------------------------
 
@@ -510,11 +703,37 @@ class PlanEvaluator:
         plans: Iterable[KernelPlan],
         levels: Sequence[int] = REGISTER_LEVELS,
         on_result=None,
-    ) -> List[Optional[Tuple[KernelPlan, SimulationResult]]]:
-        """Batch variant of :meth:`evaluate_spill_free`, input-ordered."""
-        plans = list(plans)
-        jobs = self._jobs(ir, plans, levels=tuple(levels))
-        return self._run_batch(plans, jobs, on_result)
+    ) -> SpillFreeBatch:
+        """Batch variant of :meth:`evaluate_spill_free`, input-ordered.
+
+        ``plans`` may be a :class:`~repro.tuning.space.CandidateTable`,
+        whose candidates are then priced from its index columns.  The
+        answer is a :class:`SpillFreeBatch`; ``on_result(index, plan,
+        outcome, error)`` fires per candidate in input order, as in
+        :meth:`_run_batch`.
+        """
+        levels = tuple(levels)
+        if not isinstance(plans, CandidateTable):
+            plans = list(plans)
+        if self._per_candidate():
+            plans = list(plans)
+            jobs = self._jobs(ir, plans, levels=levels)
+            return SpillFreeBatch.of(self._run_batch(plans, jobs, on_result))
+        with _span("eval.batch", candidates=len(plans)), self._timed():
+            return self._lane_batch(ir, plans, levels, on_result)
+
+    def _per_candidate(self) -> bool:
+        """Whether a batch must run as one guarded request per candidate:
+        per-candidate behaviour is observable (faults, deadlines, a
+        recovering ``on_error`` policy) or the reference/degraded path
+        is on."""
+        return (
+            self.reference
+            or self.fault_injector is not None
+            or self.timeout_s is not None
+            or self.on_error != "fail-fast"
+            or self._in_degraded_mode()
+        )
 
     # -- the request pipeline --------------------------------------------------
 
@@ -588,7 +807,187 @@ class PlanEvaluator:
         """The memoized ``(status, value)`` under ``key``, or None."""
         with self._lock:
             hit = self._cache.get(key)
-        return hit[1] if hit is not None and hit[0] is ir else None
+        if hit is None or hit[0] is not ir:
+            return None
+        entry = hit[1]
+        return entry if type(entry) is tuple else entry.resolve()
+
+    # -- the lane path ---------------------------------------------------------
+
+    def _lane_families(self, ir, plans, levels) -> List[_LaneFamily]:
+        """Group, validate, screen and price a batch's families."""
+        if isinstance(plans, CandidateTable):
+            groups = plans.families()
+        else:
+            indexes: Dict[tuple, List[int]] = {}
+            for index, plan in enumerate(plans):
+                indexes.setdefault(plan_structural_key(plan), []).append(index)
+            groups = [
+                (
+                    plans[rows[0]],
+                    np.asarray(rows),
+                    LaneGrid.of([plans[i] for i in rows]),
+                )
+                for rows in indexes.values()
+            ]
+        families = []
+        for proto, positions, grid in groups:
+            family = _LaneFamily(plans, positions, grid, proto, levels)
+            families.append(family)
+            if self.validate:
+                try:
+                    validate_plan(ir, proto)
+                except INFEASIBLE as exc:
+                    family.invalid = exc
+                    continue
+            # Transformation legality depends only on family-stable
+            # fields, so the certifier runs once per family.
+            family.screen = fusion_rejection(ir, proto)
+            quote = price_lanes(
+                ir, proto, grid, self.device, levels,
+                screened=family.screen is not None,
+            )
+            if quote is None:
+                members = [plans[int(p)] for p in positions]
+                family.jobs = [
+                    partial(self._spill_free, ir, q, family.screen, levels)
+                    for q in scalar_quotes(ir, members, self.device, levels)
+                ]
+                continue
+            family.quoted(ir, self.device, *quote)
+        return families
+
+    def _lane_batch(self, ir, plans, levels, on_result) -> SpillFreeBatch:
+        """Finalize a batch's lanes in input order, one request each.
+
+        Stats are bumped by totals at the end, and the batch is one
+        timed interval that ``on_result`` steps out of; plans, results
+        and exceptions are built only for the memo hits that must
+        answer, the search log, ``on_result`` and the caller's later
+        reads.
+        """
+        n = len(plans)
+        if on_result is not None:
+            on_result = self._untimed(on_result)
+        families = self._lane_families(ir, plans, levels)
+        family_of: list = [None] * n
+        lane_of = [0] * n
+        time_s = np.full(n, np.inf)
+        for family in families:
+            for i, position in enumerate(family.positions.tolist()):
+                family_of[position] = family
+                lane_of[position] = i
+            time_s[family.positions] = family.time_s
+        log = self.search_log
+        metrics = _metrics_enabled()
+        cache = self._cache
+        # Without a sink, a priced lane's answer stays its family (and
+        # lane index) until the caller reads it.
+        lazy = log is None and on_result is None
+        items = list(family_of)
+        requests = hits = misses = infeasible = screened = 0
+        vectorized = skipped = 0
+        try:
+            for position in range(n):
+                family, i = family_of[position], lane_of[position]
+                if family.jobs is not None:
+                    items[position] = outcome = self._guarded(
+                        plans[position], family.jobs[i], position, on_result
+                    )
+                    if outcome is not None:
+                        time_s[position] = outcome[1].time_s
+                    continue
+                key = family.keys[i] if family.invalid is None else None
+                if key is None:
+                    items[position] = None
+                    if family.invalid is not None:
+                        reason = f"infeasible: {family.invalid}"
+                    else:
+                        # Spills even at the top level: every rung would
+                        # have spilled; the seed ladder discarded it too.
+                        skipped += len(levels)
+                        reason = (
+                            f"spills at every register level "
+                            f"(demand {family.demands[i]} > {levels[-1]})"
+                        )
+                    if log is not None:
+                        self._prune(plans[position], reason)
+                    if on_result is not None:
+                        on_result(position, plans[position], None, None)
+                    continue
+                skipped += family.rungs[i]
+                requests += 1
+                fresh = (ir, _LaneEntry(family, i))
+                hit = cache.setdefault(key, fresh)
+                if hit is not fresh:
+                    if hit[0] is ir:
+                        hits += 1
+                        if self._lane_hit(
+                            family, position, i, hit[1], items, time_s,
+                            on_result,
+                        ):
+                            infeasible += 1
+                        continue
+                    cache[key] = fresh  # a recycled IR id: a miss
+                misses += 1
+                if family.screen is not None or not family.feasible[i]:
+                    items[position] = None
+                    screened += 1
+                    infeasible += 1
+                    if metrics:
+                        if family.screen is not None:
+                            _count_rejection(family.screen.code)
+                        else:
+                            _count_occupancy_screen(family.lanes.code(i))
+                    if log is not None:
+                        self._log_candidate(
+                            family.resolved(position, i), "screened",
+                            reason=str(fresh[1].resolve()[1]),
+                        )
+                    if on_result is not None:
+                        on_result(position, plans[position], None, None)
+                    continue
+                vectorized += 1
+                if lazy:
+                    continue
+                items[position] = outcome = family.answer(position, i)
+                if log is not None:
+                    self._log_candidate(
+                        outcome[0], "simulated", result=outcome[1]
+                    )
+                if on_result is not None:
+                    on_result(position, plans[position], outcome, None)
+        finally:
+            with self._lock:
+                stats = self.stats
+                stats.requests += requests
+                stats.hits += hits
+                stats.misses += misses
+                stats.infeasible += infeasible
+                stats.screened += screened
+                stats.lint_rejections += screened
+                stats.vectorized += vectorized
+                stats.rungs_skipped += skipped
+        return SpillFreeBatch(items, time_s, lane_of)
+
+    def _lane_hit(self, family, position, i, entry, items, time_s, on_result):
+        """Answer a lane from the memo; True when the answer is
+        infeasible."""
+        status, value = entry if type(entry) is tuple else entry.resolve()
+        plan = family.resolved(position, i)
+        if status == "ok":
+            items[position] = outcome = (plan, value)
+            time_s[position] = value.time_s
+            self._log_candidate(plan, "cache-hit", result=value)
+        else:
+            items[position] = outcome = None
+            time_s[position] = np.inf
+            self._log_candidate(
+                plan, "cache-hit-infeasible", reason=str(value)
+            )
+        if on_result is not None:
+            on_result(position, family.plans[position], outcome, None)
+        return outcome is None
 
     def _ladder(self, ir, plan, levels, invalid):
         """The seed path's escalation: request every rung up to the

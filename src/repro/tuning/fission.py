@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..dsl.ast import ArrayAccess, array_accesses, scalar_names
-from ..ir.analysis import access_patterns, stencil_order
+from ..dsl.ast import array_accesses, scalar_names
 from ..ir.dag import statements_for_output
-from ..ir.stencil import ProgramIR, Statement, StencilInstance
+from ..ir.stencil import ProgramIR, StencilInstance
 from .fusion import maxfuse
 
 

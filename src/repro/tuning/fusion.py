@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..dsl.ast import ArrayAccess, Name
+from ..dsl.ast import Name
 from ..ir.stencil import ProgramIR, Statement, StencilInstance
 from ..ir.transform import rename_symbols
 from ..resilience.errors import UsageError

@@ -16,9 +16,13 @@ Tuning runs in steps instead of searching the full cross-product:
   stage 1 or for an earlier survivor) are deduplicated by fingerprint.
 
 All measurement flows through a shared :class:`PlanEvaluator`
-(``repro.tuning.evaluator``), which memoizes simulation results,
+(``repro.tuning.evaluator``), which memoizes simulation results and
 collapses the register-escalation ladder via the register-independent
-simulation prefix, and can evaluate candidate batches on a thread pool.
+simulation prefix.  Stage 1's sweep is a
+:class:`~repro.tuning.space.CandidateTable` — index arrays over the
+block and unroll tuples — that the evaluator prices as lanes; the tuner
+ranks a batch by its time column and builds a :class:`Measurement` (and
+its plan) only for the candidates it keeps.
 
 **Evaluation accounting** is uniform: ``evaluations`` counts one per
 candidate plan submitted for measurement — feasible, spilling and
@@ -33,8 +37,11 @@ the paper allows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
 
 from ..codegen.plan import (
     KernelPlan,
@@ -57,7 +64,7 @@ from ..resilience.checkpoint import (
     plan_to_dict,
 )
 from .evaluator import EvalStats, Measurement, PlanEvaluator, plan_fingerprint
-from .space import SearchSpace, seed_variants
+from .space import CandidateTable, SearchSpace
 
 __all__ = [
     "HierarchicalTuner",
@@ -88,6 +95,34 @@ def with_fold_groups(plan: KernelPlan, folds) -> KernelPlan:
                 (group.folded_name, plan.placement_of(group.members[0]))
             )
     return plan.replace(fold_groups=folds, placements=tuple(placements))
+
+
+class MeasuredBatch(SequenceABC):
+    """One measured batch: ``batch[i]`` is candidate ``i``'s
+    :class:`Measurement`, or None, built on first read.  ``time_s`` is
+    the column of their times (inf where None)."""
+
+    def __init__(self, time_s: np.ndarray, build: Callable):
+        self.time_s = time_s
+        self._build = build
+        self._built: Dict[int, Optional[Measurement]] = {}
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def __getitem__(self, index: int) -> Optional[Measurement]:
+        if not -len(self) <= index < len(self):
+            raise IndexError(index)
+        index %= len(self)
+        if index not in self._built:
+            self._built[index] = self._build(index)
+        return self._built[index]
+
+    def ranked(self) -> List[int]:
+        """Positions of the feasible candidates, fastest first (ties in
+        input order, as a stable sort by ``time_s`` leaves them)."""
+        order = np.argsort(self.time_s, kind="stable")
+        return order[: int(np.isfinite(self.time_s).sum())].tolist()
 
 
 @dataclass(frozen=True)
@@ -251,46 +286,79 @@ class HierarchicalTuner:
         self._journal_record("sf", plan, measurement)
         return measurement
 
-    def _measure_batch(
-        self, plans: Sequence[KernelPlan]
-    ) -> List[Optional[Measurement]]:
-        """Measure candidates (possibly in parallel), input-ordered.
+    def _measure_batch(self, plans: Sequence[KernelPlan]) -> MeasuredBatch:
+        """Measure candidates, input-ordered.
 
         Accounting and trace entries are identical to calling
-        :meth:`measure` serially on each plan.
+        :meth:`measure` serially on each plan; a measurement is built
+        when it is read (or traced).
         """
         self.evaluations += len(plans)
-        for plan in plans:
-            self._measured_families.add(plan_family_key(plan))
-        results: List[Optional[Measurement]] = [None] * len(plans)
-        fresh: List[Tuple[int, KernelPlan]] = []
-        for position, plan in enumerate(plans):
-            replayed = self._journal_replay("sf", plan)
-            if replayed is not _MISS:
-                results[position] = replayed
-            else:
-                fresh.append((position, plan))
-        if not fresh:
-            return results
-        found = self.evaluator.evaluate_spill_free_batch(
-            self.ir,
-            [plan for _, plan in fresh],
-            on_result=self._journal_on_result("sf"),
+        self._measured_families.update(
+            plans.family_keys()
+            if isinstance(plans, CandidateTable)
+            else (plan_family_key(plan) for plan in plans)
         )
-        if self.journal is not None:
+        if self.journal is None:
+            if not len(plans):
+                return MeasuredBatch(np.empty(0), None)
+            found = self.evaluator.evaluate_spill_free_batch(self.ir, plans)
+            return self._traced(
+                MeasuredBatch(
+                    found.time_s, lambda p: self._measurement(found[p])
+                ),
+                range(len(plans)),
+            )
+        time_s = np.full(len(plans), np.inf)
+        replayed: Dict[int, Optional[Measurement]] = {}
+        fresh: List[int] = []
+        for position, plan in enumerate(plans):
+            measurement = self._journal_replay("sf", plan)
+            if measurement is _MISS:
+                fresh.append(position)
+                continue
+            replayed[position] = measurement
+            if measurement is not None:
+                time_s[position] = measurement.time_s
+        found = None
+        if fresh:
+            found = self.evaluator.evaluate_spill_free_batch(
+                self.ir,
+                [plans[position] for position in fresh],
+                on_result=self._journal_on_result("sf"),
+            )
             self.journal.commit()
-        for (position, _), item in zip(fresh, found):
-            results[position] = self._record(item)
-        return results
+            time_s[fresh] = found.time_s
+        slot = {position: j for j, position in enumerate(fresh)}
 
-    def _record(self, found) -> Optional[Measurement]:
+        def build(position: int) -> Optional[Measurement]:
+            if position in replayed:
+                return replayed[position]
+            return self._measurement(found[slot[position]])
+
+        return self._traced(MeasuredBatch(time_s, build), fresh)
+
+    def _traced(self, batch: MeasuredBatch, positions) -> MeasuredBatch:
+        """With ``keep_trace``, append the measurements at ``positions``
+        (the ones the engine answered, in order) to the trace."""
+        if self.keep_trace:
+            for position in positions:
+                if batch[position] is not None:
+                    self._trace.append(batch[position])
+        return batch
+
+    @staticmethod
+    def _measurement(found) -> Optional[Measurement]:
         if found is None:
             return None
         plan, result = found
-        measurement = Measurement(
+        return Measurement(
             plan=plan, time_s=result.time_s, tflops=result.tflops
         )
-        if self.keep_trace:
+
+    def _record(self, found) -> Optional[Measurement]:
+        measurement = self._measurement(found)
+        if measurement is not None and self.keep_trace:
             self._trace.append(measurement)
         return measurement
 
@@ -371,41 +439,36 @@ class HierarchicalTuner:
                 device=self.device,
             )
             candidates = self._stage1_candidates(base, space)
-            results = [
-                m for m in self._measure_batch(candidates) if m is not None
-            ]
-            results.sort(key=lambda m: m.time_s)
+            measured = self._measure_batch(candidates)
+            ranked = measured.ranked()
             if _metrics_enabled():
                 _counter("tuner.stage1.candidates").add(len(candidates))
-                _counter("tuner.stage1.feasible").add(len(results))
+                _counter("tuner.stage1.feasible").add(len(ranked))
             if stage_span is not None:
                 stage_span.attributes.update(
-                    candidates=len(candidates), feasible=len(results)
+                    candidates=len(candidates), feasible=len(ranked)
                 )
-            return results[: self.top_k]
+            return [measured[position] for position in ranked[: self.top_k]]
 
     def _stage1_candidates(
         self, base: KernelPlan, space: SearchSpace
-    ) -> List[KernelPlan]:
-        """Stage-1 candidate list: the block x unroll sweep over ``base``.
+    ) -> Sequence[KernelPlan]:
+        """Stage-1 candidates: the block x unroll sweep over ``base``, as
+        a :class:`~repro.tuning.space.CandidateTable`.
 
         The extension point for warm-started searches —
         :class:`repro.tuning.transfer.WarmStartTuner` overrides this to
         narrow the sweep to the neighborhood of another device's
         journaled winners.  Retimed twins ride along with their parent
-        variant, so overrides that filter the returned list keep the
-        pairing intact.
+        variant, so overrides that filter the returned candidates keep
+        the pairing intact; an override may return any sequence of
+        plans.
         """
-        retimable = self._retimable(base)
-        candidates: List[KernelPlan] = []
-        for variant in seed_variants(base, space):
-            candidates.append(variant)
-            if retimable and variant.total_unroll() == 1:
-                # Register-level optimizations change which block
-                # sizes win; explore the retimed shape of each block
-                # up front.
-                candidates.append(variant.replace(retime=True))
-        return candidates
+        # Register-level optimizations change which block sizes win;
+        # explore the retimed shape of each block up front.
+        return CandidateTable.sweep(
+            base, space, retimed_twins=self._retimable(base)
+        )
 
     def _retimable(self, plan: KernelPlan) -> bool:
         if not (self.use_register_opts and plan.uses_streaming):
@@ -434,9 +497,11 @@ class HierarchicalTuner:
                     seen.add(family)
                     candidates.append(variant)
             best = survivors[0]
-            for measurement in self._measure_batch(candidates):
-                if measurement is not None and measurement.time_s < best.time_s:
-                    best = measurement
+            measured = self._measure_batch(candidates)
+            ranked = measured.ranked()
+            # The first fastest variant, if it beats the best survivor.
+            if ranked and measured.time_s[ranked[0]] < best.time_s:
+                best = measured[ranked[0]]
             if _metrics_enabled():
                 _counter("tuner.stage2.candidates").add(len(candidates))
             if stage_span is not None:
@@ -480,14 +545,12 @@ class HierarchicalTuner:
                 f"tuning.level{depth + 1}", candidates=len(level_plans)
             ), _log_context(self._slog, stage=f"level{depth + 1}"), \
                     self.evaluator.phase(f"level{depth + 1}"):
-                measured = [
-                    m for m in self._measure_batch(level_plans) if m is not None
-                ]
-            measured.sort(key=lambda m: m.time_s)
-            if measured:
-                survivors = [m.plan for m in measured[: self.top_k]]
-                if best is None or measured[0].time_s < best.time_s:
-                    best = measured[0]
+                batch = self._measure_batch(level_plans)
+            ranked = batch.ranked()
+            if ranked:
+                survivors = [batch[p].plan for p in ranked[: self.top_k]]
+                if best is None or batch.time_s[ranked[0]] < best.time_s:
+                    best = batch[ranked[0]]
             if depth == 0:
                 stage1_evals = self.evaluations
         if best is None:

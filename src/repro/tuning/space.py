@@ -12,16 +12,36 @@ Unrolled versions are ordered so the statement count after unrolling
 (``uz*uy*ux``) increases monotonically, letting the tuner escalate the
 per-thread register budget (32 → 64 → 128 → 255) and skip spilling
 configurations.
+
+Stage 1's block x unroll sweep is a :class:`CandidateTable`: index
+arrays over the space's block and unroll tuples.  Like a tile pyramid
+that derives a tile from its (zoom, row, col) index instead of storing
+one, the table derives a candidate's :class:`KernelPlan` from its index
+only when something reads it, and the evaluation engine prices the
+sweep straight from the index columns.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from ..codegen.plan import KernelPlan, REGISTER_LEVELS
+from ..codegen.tiling import family_key_factory
 from ..gpu.device import DeviceSpec, P100
+from ..gpu.pricing import LaneGrid
 
 BLOCK_MIN = 4
 BLOCK_MAX = 256
@@ -119,10 +139,133 @@ def exhaustive_space_size(ndim: int, streaming: bool) -> int:
     return blocks * unrolls * len(REGISTER_LEVELS) * 2 * 3 * 3
 
 
+class CandidateTable(SequenceABC):
+    """Candidates over one base plan, as index arrays.
+
+    Candidate ``i`` is ``base`` with ``block=blocks[block_index[i]]``,
+    ``unroll=unrolls[unroll_index[i]]`` and ``retime=retime[i]``.
+    ``table[i]`` derives that :class:`KernelPlan` on first read (and
+    returns the same object after), so a sweep whose candidates are
+    priced, screened and ranked as lanes builds plans only for the few
+    a caller keeps.
+    """
+
+    def __init__(
+        self,
+        base: KernelPlan,
+        blocks: Sequence[Tuple[int, ...]],
+        unrolls: Sequence[Tuple[int, ...]],
+        block_index: np.ndarray,
+        unroll_index: np.ndarray,
+        retime: np.ndarray,
+    ):
+        self.base = base
+        self.blocks = tuple(blocks)
+        self.unrolls = tuple(unrolls)
+        self.block_index = block_index
+        self.unroll_index = unroll_index
+        self.retime = retime
+        self._plans: Dict[int, KernelPlan] = {}
+
+    @classmethod
+    def sweep(
+        cls, base: KernelPlan, space: SearchSpace, retimed_twins: bool = False
+    ) -> "CandidateTable":
+        """Block x unroll over ``base``, block-major, unrolls in the
+        space's monotone order.  With ``retimed_twins`` each candidate
+        without unrolling is followed by its retimed shape."""
+        blocks = space.block_candidates()
+        unrolls = space.unroll_candidates()
+        reps = np.ones(len(unrolls), np.int64)
+        if retimed_twins:
+            reps += [SearchSpace._total(u) == 1 for u in unrolls]
+        reps = np.tile(reps, len(blocks))
+        block_index = np.repeat(
+            np.repeat(np.arange(len(blocks)), len(unrolls)), reps
+        )
+        unroll_index = np.repeat(
+            np.tile(np.arange(len(unrolls)), len(blocks)), reps
+        )
+        retime = np.full(len(block_index), base.retime)
+        retime[(np.cumsum(reps) - 1)[reps == 2]] = True
+        return cls(base, blocks, unrolls, block_index, unroll_index, retime)
+
+    def __len__(self) -> int:
+        return len(self.block_index)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.select(range(*index.indices(len(self))))
+        if not -len(self) <= index < len(self):
+            raise IndexError(index)
+        index %= len(self)
+        plan = self._plans.get(index)
+        if plan is None:
+            changes = {
+                "block": self.blocks[self.block_index[index]],
+                "unroll": self.unrolls[self.unroll_index[index]],
+            }
+            if self.retime[index] != self.base.retime:
+                changes["retime"] = bool(self.retime[index])
+            plan = self._plans[index] = self.base.replace(**changes)
+        return plan
+
+    def signatures(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Each candidate's stage-1 coordinates: (block, unroll)."""
+        blocks, unrolls = self.blocks, self.unrolls
+        return [
+            (blocks[b], unrolls[u])
+            for b, u in zip(
+                self.block_index.tolist(), self.unroll_index.tolist()
+            )
+        ]
+
+    def select(self, indexes: Iterable[int]) -> "CandidateTable":
+        """The candidates at ``indexes``, in that order."""
+        rows = np.asarray(list(indexes), dtype=np.int64)
+        return CandidateTable(
+            self.base, self.blocks, self.unrolls,
+            self.block_index[rows], self.unroll_index[rows], self.retime[rows],
+        )
+
+    def families(self) -> List[Tuple[KernelPlan, np.ndarray, LaneGrid]]:
+        """``(proto, positions, grid)`` per structural family, in order
+        of first appearance: the candidates sharing a retime setting
+        differ only along the grid axes."""
+        out = []
+        for retime in dict.fromkeys(self.retime.tolist()):
+            positions = np.flatnonzero(self.retime == retime)
+            grid = LaneGrid(
+                blocks=self.blocks,
+                block_index=self.block_index[positions],
+                unrolls=self.unrolls,
+                unroll_index=self.unroll_index[positions],
+                unroll_blocked=np.full(
+                    len(positions), self.base.unroll_blocked
+                ),
+                max_registers=np.full(
+                    len(positions), self.base.max_registers, np.int64
+                ),
+            )
+            out.append((self[int(positions[0])], positions, grid))
+        return out
+
+    def family_keys(self) -> Set[tuple]:
+        """The plan family key of every candidate."""
+        keys: Set[tuple] = set()
+        for proto, _, grid in self.families():
+            key = family_key_factory(proto)
+            keys.update(
+                key(self.blocks[b], self.unrolls[u], proto.unroll_blocked)
+                for b, u in zip(
+                    grid.block_index.tolist(), grid.unroll_index.tolist()
+                )
+            )
+        return keys
+
+
 def seed_variants(
     plan: KernelPlan, space: SearchSpace
 ) -> Iterator[KernelPlan]:
     """Stage-1 variants: block size x unroll factors over the base plan."""
-    for block in space.block_candidates():
-        for unroll in space.unroll_candidates():
-            yield plan.replace(block=block, unroll=unroll)
+    return iter(CandidateTable.sweep(plan, space))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Set, Tuple, Union
 
 from ..codegen.plan import KernelPlan
 from ..gpu.device import DeviceSpec, P100
@@ -42,7 +42,7 @@ from ..resilience.checkpoint import (
 )
 from .deeptuning import DeepTuningResult, deep_tune
 from .hierarchical import HierarchicalTuner, TuningResult
-from .space import SearchSpace
+from .space import CandidateTable, SearchSpace
 
 __all__ = [
     "DEFAULT_NEIGHBORHOOD",
@@ -199,15 +199,21 @@ class WarmStartTuner(HierarchicalTuner):
 
     def _stage1_candidates(
         self, base: KernelPlan, space: SearchSpace
-    ) -> List[KernelPlan]:
+    ) -> Sequence[KernelPlan]:
         full = super()._stage1_candidates(base, space)
         self.stage1_full = len(full)
         if not self.seeds:
             self.stage1_kept = len(full)
             return full
         allowed = self._warm_signatures()
-        kept = [plan for plan in full if _signature(plan) in allowed]
-        if not kept:
+        if isinstance(full, CandidateTable):
+            kept = full.select(
+                i for i, signature in enumerate(full.signatures())
+                if signature in allowed
+            )
+        else:
+            kept = [plan for plan in full if _signature(plan) in allowed]
+        if not len(kept):
             # The seeds project entirely outside this device's space
             # (different dimensionality, disjoint limits): a warm start
             # may never brick the search, so sweep cold.

@@ -246,6 +246,33 @@ class TestDeviceParity:
             assert_lane_parity(IR, plan, lane, device=device)
 
     @settings(max_examples=40, deadline=None)
+    @given(family_grids(), st.sampled_from(sorted(DEVICES)))
+    def test_code_column_matches_scalar_rejection(self, family, name):
+        # The evaluation engine screens and counts a rejected lane by
+        # its code column and asks the scalar model for the message only
+        # when one is read, where a disagreement is fatal rather than a
+        # fallback: the column must already name the scalar rule.
+        device = get_device(name)
+        proto, lanes = family
+        plans = [
+            proto.replace(
+                block=block, unroll=unroll, unroll_blocked=blocked,
+                max_registers=maxreg,
+            )
+            for block, unroll, blocked, maxreg in lanes
+        ]
+        priced = family_structure(IR, proto).price(plans, device)
+        for i, plan in enumerate(plans):
+            want = scalar_lane(IR, plan, device)
+            assert bool(priced.feasible[i]) == (want["result"] is not None)
+            assert priced.code(i) == want.get("code"), plan.describe()
+            if want["result"] is None:
+                message, context, code = priced.rejection(i)
+                assert (message, context, code) == (
+                    want["message"], want["context"], want["code"]
+                ), plan.describe()
+
+    @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(DEVICES)), st.data())
     def test_rejection_codes_stable_on_all_devices(self, name, data):
         # Build a footprint that violates exactly one device limit and
